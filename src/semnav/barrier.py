@@ -10,7 +10,6 @@ flattens the field far from obstacles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,33 @@ class LabeledBoundary:
 
 @dataclass
 class CbfField:
-    """Immutable barrier grid with bilinear value and finite-difference gradient queries."""
+    """Immutable barrier grid with batched bilinear value and finite-difference gradient queries."""
 
     grid: Grid2D
     params: CbfParams
     built_at: float = 0.0  # sim time of construction
+
+    def query(self, xy) -> tuple[np.ndarray, np.ndarray]:
+        """Barrier values (N,) and gradients (N, 2) at an (N, 2) array of world points.
+
+        Values are bilinear interpolations, edge-clamped off the grid. Gradients
+        are central differences of the interpolant with a quarter-cell step,
+        their stencil kept inside the interpolation domain.
+        """
+        xy = self._checked(xy)
+        res = self.grid.resolution
+        d = res / 4.0
+        nx, ny = self.grid.dims
+        lo = self.grid.origin + 0.5 * res
+        hi = lo + (np.array([nx, ny]) - 1) * res
+        c = np.minimum(np.maximum(xy, lo + d), hi - d)
+        cx, cy = c[:, 0], c[:, 1]
+        # one sampler call: the points themselves, then the four stencil probes
+        px = np.concatenate([xy[:, 0], cx + d, cx - d, cx, cx])
+        py = np.concatenate([xy[:, 1], cy, cy, cy + d, cy - d])
+        v = self.grid.sample_bilinear(px, py)[0].reshape(5, -1)
+        grad = np.stack([(v[1] - v[2]) / (2.0 * d), (v[3] - v[4]) / (2.0 * d)], axis=1)
+        return v[0], grad
 
     def query_h(self, x: float, y: float) -> float:
         v, _ = self.query_h_checked(x, y)
@@ -68,27 +89,21 @@ class CbfField:
 
     def query_h_checked(self, x: float, y: float) -> tuple[float, bool]:
         """Interpolated barrier value and whether the query clamped to the edge."""
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError("query coordinates must be finite")
-        v, clamped = self.grid.sample_bilinear(x, y)
-        return float(v), bool(clamped)
+        xy = self._checked([[x, y]])
+        v, clamped = self.grid.sample_bilinear(xy[:, 0], xy[:, 1])
+        return float(v[0]), bool(clamped[0])
 
     def query_grad(self, x: float, y: float) -> tuple[float, float]:
-        """Central finite difference of the interpolated field, half-voxel step."""
-        if not (math.isfinite(x) and math.isfinite(y)):
+        """Gradient of the interpolated field at one point (see ``query``)."""
+        _, grad = self.query([[x, y]])
+        return float(grad[0, 0]), float(grad[0, 1])
+
+    @staticmethod
+    def _checked(xy) -> np.ndarray:
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(xy)):
             raise ValueError("query coordinates must be finite")
-        res = self.grid.resolution
-        d = res / 4.0
-        nx, ny = self.grid.dims
-        # keep the probe stencil inside the interpolation domain
-        x0, y0 = self.grid.origin + 0.5 * res
-        x1 = x0 + (nx - 1) * res
-        y1 = y0 + (ny - 1) * res
-        cx = min(max(x, x0 + d), x1 - d)
-        cy = min(max(y, y0 + d), y1 - d)
-        gx = (self.grid.sample_bilinear(cx + d, cy)[0] - self.grid.sample_bilinear(cx - d, cy)[0]) / (2.0 * d)
-        gy = (self.grid.sample_bilinear(cx, cy + d)[0] - self.grid.sample_bilinear(cx, cy - d)[0]) / (2.0 * d)
-        return float(gx), float(gy)
+        return xy
 
 
 def project_2p5d(global_tsdf: GlobalTsdf, theta_z: float) -> tuple[Grid2D, np.ndarray]:

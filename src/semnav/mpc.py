@@ -1,10 +1,11 @@
 """Receding-horizon controller with linearized discrete barrier constraints.
 
 Dynamics and the per-step barrier decay condition are linearized about the
-previous predicted trajectory, giving a quadratic program in deviation
-variables. Barrier rows are softened by heavily penalized slack so the
-program stays solvable under noise while violations remain observable; the
-classic baseline instead imposes hard barrier-positivity state constraints.
+previous predicted trajectory. The dynamics are then eliminated, leaving a
+condensed quadratic program in the input deviations alone. Barrier rows are
+softened by heavily penalized slack so the program stays solvable under noise
+while violations remain observable; the classic baseline instead imposes hard
+barrier-positivity state constraints.
 """
 
 from __future__ import annotations
@@ -83,35 +84,33 @@ def hold_trajectory(x_t: np.ndarray, horizon: int) -> PredictedTrajectory:
     )
 
 
-def _grad3(field_: CbfField, state: np.ndarray) -> np.ndarray:
-    gx, gy = field_.query_grad(state[0], state[1])
-    return np.array([gx, gy, 0.0])  # heading never changes the barrier
-
-
 def linearize_cbf_constraint(
     field_: CbfField,
     x_op: np.ndarray,
     u_op: np.ndarray,
     dt: float,
     gamma_bar: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Affine coefficients (C, D, c) of the linearized decay condition.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affine coefficients (C, D, c) of the linearized decay condition, per horizon step.
 
-    About the operating point, the requirement that the barrier shrink no
-    faster than the configured geometric rate becomes
-    C . dx + D . du + c >= 0 in the deviation variables.
+    About each operating point (row k of the (T, 3) arrays ``x_op``, ``u_op``),
+    the requirement that the barrier shrink no faster than the configured
+    geometric rate becomes C[k] . dx_k + D[k] . du_k + c[k] >= 0 in the
+    deviation variables. Heading never changes the barrier, so the third
+    column of C and D is zero. All 2T barrier queries go in one batch.
     """
     x_op = np.asarray(x_op, dtype=float)
     u_op = np.asarray(u_op, dtype=float)
     if not (np.all(np.isfinite(x_op)) and np.all(np.isfinite(u_op))):
         raise ValueError("operating point must be finite")
+    T = x_op.shape[0]
     x_plus = x_op + dt * u_op
-    g_plus = _grad3(field_, x_plus)
-    g_now = _grad3(field_, x_op)
-    c_coef = g_plus - (1.0 - gamma_bar) * g_now
-    d_coef = dt * g_plus
-    const = field_.query_h(x_plus[0], x_plus[1]) - (1.0 - gamma_bar) * field_.query_h(x_op[0], x_op[1])
-    return c_coef, d_coef, float(const)
+    h, grad = field_.query(np.concatenate([x_plus[:, :2], x_op[:, :2]]))
+    c_coef = np.zeros((T, 3))
+    d_coef = np.zeros((T, 3))
+    c_coef[:, :2] = grad[:T] - (1.0 - gamma_bar) * grad[T:]
+    d_coef[:, :2] = dt * grad[:T]
+    return c_coef, d_coef, h[:T] - (1.0 - gamma_bar) * h[T:]
 
 
 def build_qp(
@@ -122,146 +121,97 @@ def build_qp(
     goal: np.ndarray,
     mode: str = MODE_CBF,
 ) -> QpProblem:
-    qp, _ = _build_qp_internal(params, x_t, prev_traj, field_, goal, mode)
-    return qp
+    """Condensed QP in the input deviations du (3T) and, in CBF mode, the slacks (T).
 
-
-def _build_qp_internal(params, x_t, prev_traj, field_, goal, mode):
+    Single-integrator dynamics make every state deviation an affine function of
+    the inputs, dx = c + S du: c is the initial-state error plus the cumulative
+    defect of the operating trajectory, S is dt times a block prefix sum. So
+    the program has no state variables and no equality rows. Rows that do not
+    depend on du (the k = 0 workspace and classic rows) stay: they carry the
+    feasibility of the current state.
+    """
+    if mode not in (MODE_CBF, MODE_CLASSIC):
+        raise ValueError(f"unknown controller mode {mode!r}")
     T = params.horizon
     dt = params.dt
     op_s = np.asarray(prev_traj.states, dtype=float)
     op_u = np.asarray(prev_traj.inputs, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     goal = np.asarray(goal, dtype=float)
-
-    n_x = 3 * (T + 1)
     n_u = 3 * T
     n_slack = T if mode == MODE_CBF else 0
-    n = n_x + n_u + n_slack
 
-    def ix(k):
-        return slice(3 * k, 3 * k + 3)
-
-    def iu(k):
-        return slice(n_x + 3 * k, n_x + 3 * k + 3)
-
-    def isl(k):
-        return n_x + n_u + k
-
-    q = np.diag(params.q_diag)
-    r = np.diag(params.r_diag)
-    p = np.diag(params.p_diag)
-
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    offset = 0.0
-    for k in range(T + 1):
-        w = p if k == T else q
-        err = op_s[k] - goal
-        err[2] = wrap_angle(err[2])
-        H[ix(k), ix(k)] = 2.0 * w
-        g[ix(k)] = 2.0 * w @ err
-        offset += float(err @ w @ err)
-    for k in range(T):
-        H[iu(k), iu(k)] = 2.0 * r
-        g[iu(k)] = 2.0 * r @ op_u[k]
-        offset += float(op_u[k] @ r @ op_u[k])
-    if n_slack:
-        g[n_x + n_u :] = params.rho_slack
-
-    me = 3 * (T + 1)
-    A = np.zeros((me, n))
-    b = np.zeros(me)
-    A[0:3, ix(0)] = np.eye(3)
     init_err = x_t - op_s[0]
     init_err[2] = wrap_angle(init_err[2])
-    b[0:3] = init_err
-    for k in range(T):
-        rows = slice(3 * (k + 1), 3 * (k + 2))
-        A[rows, ix(k + 1)] = np.eye(3)
-        A[rows, ix(k)] = -np.eye(3)
-        A[rows, iu(k)] = -dt * np.eye(3)
-        b[rows] = op_s[k] + dt * op_u[k] - op_s[k + 1]  # defect of the operating trajectory
+    defects = op_s[:-1] + dt * op_u - op_s[1:]
+    c = init_err + np.concatenate([np.zeros((1, 3)), np.cumsum(defects, axis=0)])  # (T+1, 3)
+    S = dt * np.kron(np.tri(T + 1, T, -1), np.eye(3))  # (3(T+1), 3T)
 
-    rows_g = []
-    rows_h = []
-    bounds = params.input_bounds
-    for k in range(T):
-        for a in range(3):
-            row = np.zeros(n)
-            row[n_x + 3 * k + a] = 1.0
-            rows_g.append(row)
-            rows_h.append(bounds[a] - op_u[k, a])
-            row = np.zeros(n)
-            row[n_x + 3 * k + a] = -1.0
-            rows_g.append(row)
-            rows_h.append(bounds[a] + op_u[k, a])
+    # tracking cost 0.5 dx^T Hx dx + gx^T dx + const about the operating states
+    err = op_s - goal
+    err[:, 2] = np.array([wrap_angle(a) for a in err[:, 2]])
+    w = np.tile(np.array(params.q_diag, dtype=float), (T + 1, 1))
+    w[T] = params.p_diag
+    hx = 2.0 * w.ravel()
+    gx = hx * err.ravel()
+    cf = c.ravel()
+    r = np.tile(np.array(params.r_diag, dtype=float), T)
+    uf = op_u.ravel()
+
+    H = np.zeros((n_u + n_slack, n_u + n_slack))
+    H[:n_u, :n_u] = np.diag(2.0 * r) + S.T @ (hx[:, None] * S)
+    g = np.zeros(n_u + n_slack)
+    g[:n_u] = 2.0 * r * uf + S.T @ (hx * cf + gx)
+    g[n_u:] = params.rho_slack
+    offset = float(np.sum(w * err * err) + r @ (uf * uf) + 0.5 * cf @ (hx * cf) + gx @ cf)
+
+    # input box, then workspace box on x and y of every predicted state
+    bounds = np.tile(params.input_bounds, T)
     xmin, ymin, xmax, ymax = params.workspace
-    for k in range(T + 1):
-        for a, (lo, hi) in enumerate(((xmin, xmax), (ymin, ymax))):
-            row = np.zeros(n)
-            row[3 * k + a] = 1.0
-            rows_g.append(row)
-            rows_h.append(hi - op_s[k, a])
-            row = np.zeros(n)
-            row[3 * k + a] = -1.0
-            rows_g.append(row)
-            rows_h.append(op_s[k, a] - lo)
+    S_xy = S.reshape(T + 1, 3, n_u)[:, :2].reshape(-1, n_u)
+    pos = (op_s[:, :2] + c[:, :2]).ravel()
+    lo = np.tile([xmin, ymin], T + 1)
+    hi = np.tile([xmax, ymax], T + 1)
+    blocks = [np.eye(n_u), -np.eye(n_u), S_xy, -S_xy]
+    rhs = [bounds - uf, bounds + uf, hi - pos, pos - lo]
 
+    S_k = S[: 3 * T].reshape(T, 3, n_u)  # dx_k = c_k + S_k du for k < T
     if mode == MODE_CBF:
-        for k in range(T):
-            c_coef, d_coef, const = linearize_cbf_constraint(field_, op_s[k], op_u[k], dt, params.gamma_bar)
-            row = np.zeros(n)
-            row[ix(k)] = -c_coef
-            row[iu(k)] = -d_coef
-            row[isl(k)] = -1.0
-            rows_g.append(row)
-            rows_h.append(const)
-        for k in range(T):
-            row = np.zeros(n)
-            row[isl(k)] = -1.0
-            rows_g.append(row)
-            rows_h.append(0.0)
-    elif mode == MODE_CLASSIC:
-        for k in range(T):
-            grad = _grad3(field_, op_s[k])
-            h_op = field_.query_h(op_s[k][0], op_s[k][1])
-            row = np.zeros(n)
-            row[ix(k)] = -grad
-            rows_g.append(row)
-            rows_h.append(h_op - params.classic_epsilon)
+        # -(C_k dx_k + D_k du_k) - sigma_k <= c_k, and sigma_k >= 0
+        C, D, const = linearize_cbf_constraint(field_, op_s[:T], op_u, dt, params.gamma_bar)
+        cbf = -np.einsum("ka,kan->kn", C, S_k)
+        cbf.reshape(T, T, 3)[np.arange(T), np.arange(T)] -= D
+        box = np.vstack(blocks)
+        G = np.block([
+            [box, np.zeros((box.shape[0], T))],
+            [cbf, -np.eye(T)],
+            [np.zeros((T, n_u)), -np.eye(T)],
+        ])
+        rhs += [const + np.sum(C * c[:T], axis=1), np.zeros(T)]
     else:
-        raise ValueError(f"unknown controller mode {mode!r}")
+        # hard barrier positivity, linearized at the operating states
+        h_op, grad = field_.query(op_s[:T, :2])
+        G = np.vstack(blocks + [-np.einsum("ka,kan->kn", grad, S_k[:, :2])])
+        rhs.append(h_op - params.classic_epsilon + np.sum(grad * c[:T, :2], axis=1))
 
-    qp = QpProblem(
-        H=H,
-        g=g,
-        A_eq=A,
-        b_eq=b,
-        G_in=np.array(rows_g),
-        h_in=np.array(rows_h),
-        cost_offset=offset,
-    )
-    layout = {"n_x": n_x, "n_u": n_u, "n_slack": n_slack, "op_s": op_s, "op_u": op_u}
-    return qp, layout
+    return QpProblem(H=H, g=g, G_in=G, h_in=np.concatenate(rhs), cost_offset=offset)
 
 
 def _reconstruct(
     params: ControllerParams,
     x_t: np.ndarray,
-    layout: dict,
+    op_u: np.ndarray,
     sol: QpSolution,
     field_: CbfField,
 ) -> PredictedTrajectory:
     T = params.horizon
-    du = sol.x[layout["n_x"] : layout["n_x"] + layout["n_u"]].reshape(T, 3)
-    inputs = layout["op_u"] + du
+    inputs = op_u + sol.x[: 3 * T].reshape(T, 3)
     states = np.zeros((T + 1, 3))
     states[0] = x_t
     for k in range(T):
         states[k + 1] = states[k] + params.dt * inputs[k]
-    slack = sol.x[layout["n_x"] + layout["n_u"] :].copy() if layout["n_slack"] else np.zeros(T)
-    h_vals = np.array([field_.query_h(s[0], s[1]) for s in states])
+    slack = sol.x[3 * T :].copy() if sol.x.shape[0] > 3 * T else np.zeros(T)
+    h_vals, _ = field_.query(states[:, :2])
     return PredictedTrajectory(
         states=states,
         inputs=inputs,
@@ -293,8 +243,7 @@ def mpc_step(
     if prev_traj is None:
         prev_traj = hold_trajectory(x_t, params.horizon)
 
-    qp, layout = _build_qp_internal(params, x_t, prev_traj, field_, goal, mode)
-    sol = solve_qp(qp)
+    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, mode))
 
     if sol.degraded:
         if degraded_fallback == FALLBACK_BRAKE:
@@ -308,6 +257,6 @@ def mpc_step(
         traj.h_values = np.full(params.horizon + 1, field_.query_h(x_t[0], x_t[1]))
         return ControlInput(*u), traj
 
-    traj = _reconstruct(params, x_t, layout, sol, field_)
+    traj = _reconstruct(params, x_t, np.asarray(prev_traj.inputs, dtype=float), sol, field_)
     u = traj.inputs[0]
     return ControlInput(*u), traj

@@ -2,10 +2,12 @@
 
 Solves
     min 0.5 x^T H x + g^T x
-    s.t. A x = b,  G x <= h
+    s.t. G x <= h
 for small dense problems. Written for the receding-horizon controller: no
 feasible start required, deterministic, and the returned solution carries its
-KKT residuals so the caller can audit solve quality per tick.
+KKT residuals so the caller can audit solve quality per tick. Each Newton step
+eliminates slacks and multipliers and solves one positive-definite system
+M = H + G^T W G by Cholesky.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import scipy.linalg
 class QpProblem:
     H: np.ndarray  # (n, n) symmetric PSD
     g: np.ndarray  # (n,)
-    A_eq: np.ndarray  # (me, n)
-    b_eq: np.ndarray  # (me,)
     G_in: np.ndarray  # (mi, n)
     h_in: np.ndarray  # (mi,)
     cost_offset: float = 0.0
+    # equality rows are not supported; the fields stay, always empty, for callers that count rows
+    A_eq: np.ndarray | None = None  # (0, n)
+    b_eq: np.ndarray | None = None  # (0,)
 
     def __post_init__(self):
         n = self.g.shape[0]
@@ -32,16 +35,17 @@ class QpProblem:
             raise ValueError("H must be (n, n)")
         if not np.allclose(self.H, self.H.T, atol=1e-10):
             raise ValueError("H must be symmetric")
-        if self.A_eq.size and self.A_eq.shape[1] != n:
-            raise ValueError("A_eq column count mismatch")
         if self.G_in.size and self.G_in.shape[1] != n:
             raise ValueError("G_in column count mismatch")
+        self.A_eq = np.zeros((0, n)) if self.A_eq is None else np.asarray(self.A_eq, dtype=float)
+        self.b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float)
+        if self.A_eq.size or self.b_eq.size:
+            raise ValueError("equality rows are not supported; eliminate them before building the QP")
 
 
 @dataclass
 class QpSolution:
     x: np.ndarray
-    y: np.ndarray  # equality multipliers
     z: np.ndarray  # inequality multipliers (>= 0)
     status: str  # "optimal" | "max_iter"
     objective: float
@@ -53,51 +57,21 @@ class QpSolution:
         return self.status != "optimal"
 
 
-def kkt_residuals(qp: QpProblem, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> dict:
+def _residuals(r_stat: np.ndarray, gap: np.ndarray, z: np.ndarray) -> dict:
+    return {
+        "stationarity": float(np.max(np.abs(r_stat), initial=0.0)),
+        "primal": float(np.max(-gap, initial=0.0)),
+        "comp": float(np.max(np.abs(z * gap), initial=0.0)),
+    }
+
+
+def kkt_residuals(qp: QpProblem, x: np.ndarray, z: np.ndarray) -> dict:
     """Stationarity, primal feasibility and complementarity of a candidate point."""
-    r_stat = qp.H @ x + qp.g
-    if qp.A_eq.size:
-        r_stat = r_stat + qp.A_eq.T @ y
-    if qp.G_in.size:
-        r_stat = r_stat + qp.G_in.T @ z
-    res = {"stationarity": float(np.max(np.abs(r_stat))) if r_stat.size else 0.0}
-    res["eq"] = float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))) if qp.A_eq.size else 0.0
-    if qp.G_in.size:
-        slack = qp.h_in - qp.G_in @ x
-        res["ineq"] = float(max(0.0, np.max(-slack)))
-        res["comp"] = float(np.max(np.abs(z * slack)))
-    else:
-        res["ineq"] = 0.0
-        res["comp"] = 0.0
-    res["primal"] = max(res["eq"], res["ineq"])
-    return res
+    return _residuals(qp.H @ x + qp.g + qp.G_in.T @ z, qp.h_in - qp.G_in @ x, z)
 
 
 def _objective(qp: QpProblem, x: np.ndarray) -> float:
     return float(0.5 * x @ qp.H @ x + qp.g @ x + qp.cost_offset)
-
-
-def _solve_equality_qp(qp: QpProblem) -> QpSolution:
-    n = qp.g.shape[0]
-    me = qp.b_eq.shape[0]
-    kkt = np.zeros((n + me, n + me))
-    kkt[:n, :n] = qp.H
-    if me:
-        kkt[:n, n:] = qp.A_eq.T
-        kkt[n:, :n] = qp.A_eq
-    rhs = np.concatenate([-qp.g, qp.b_eq])
-    sol = np.linalg.solve(kkt, rhs)
-    x, y = sol[:n], sol[n:]
-    z = np.zeros(0)
-    return QpSolution(
-        x=x,
-        y=y,
-        z=z,
-        status="optimal",
-        objective=_objective(qp, x),
-        iterations=1,
-        residuals=kkt_residuals(qp, x, y, z),
-    )
 
 
 def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: float = 1e-6) -> QpSolution:
@@ -110,93 +84,65 @@ def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: f
     expected outcome for genuinely infeasible problems.
     """
     n = qp.g.shape[0]
-    me = qp.b_eq.shape[0]
     mi = qp.h_in.shape[0]
     if mi == 0:
-        return _solve_equality_qp(qp)
+        raise ValueError("solve_qp needs at least one inequality row")
     # large cost scales (e.g. slack penalties) set the numeric floor of the residuals
     tol = max(tol, 1e-12 * float(np.max(np.abs(qp.g), initial=1.0)))
+    H, g, G, h = qp.H, qp.g, qp.G_in, qp.h_in
 
-    A, b = qp.A_eq, qp.b_eq
-    G, h = qp.G_in, qp.h_in
-
-    # initial point: relaxed KKT solve (identity barrier), then shift s, z positive
-    init = np.zeros((n + me + mi, n + me + mi))
-    init[:n, :n] = qp.H + 1e-9 * np.eye(n)
-    if me:
-        init[:n, n : n + me] = A.T
-        init[n : n + me, :n] = A
-    init[:n, n + me :] = G.T
-    init[n + me :, :n] = G
-    init[n + me :, n + me :] = -np.eye(mi)
-    rhs0 = np.concatenate([-qp.g, b, h])
+    # initial point: relaxed KKT solve (identity barrier, z = G x - h), then shift s, z positive
     try:
-        sol0 = np.linalg.solve(init, rhs0)
-    except np.linalg.LinAlgError:
-        sol0 = np.linalg.lstsq(init, rhs0, rcond=None)[0]
-    x = sol0[:n]
-    y = sol0[n : n + me]
-    z0 = sol0[n + me :]
-    shift = max(0.0, -float(z0.min()))
-    s = z0 + shift + 1.0
-    z = z0 + shift + 1.0
+        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + G.T @ G + 1e-9 * np.eye(n)), G.T @ h - g)
+    except (ValueError, scipy.linalg.LinAlgError):
+        x = np.zeros(n)
+    z0 = G @ x - h
+    s = z0 + max(0.0, -float(z0.min())) + 1.0
+    z = s.copy()
 
     best = None
     best_err = np.inf
     stalled = 0
     iters = 0
     for iters in range(1, max_iter + 1):
-        r_d = qp.H @ x + qp.g + G.T @ z + (A.T @ y if me else 0.0)
-        r_e = A @ x - b if me else np.zeros(0)
-        r_i = G @ x + s - h
+        gx = G @ x
+        r_d = H @ x + g + G.T @ z
+        r_i = gx + s - h
         mu = float(s @ z) / mi
 
-        res = kkt_residuals(qp, x, y, z)
-        err = max(res["stationarity"], res["primal"], res["comp"])
+        res = _residuals(r_d, h - gx, z)
+        err = max(res.values())
         if err < 0.9 * best_err:
             best_err = err
-            best = (x.copy(), y.copy(), z.copy())
+            best = (x.copy(), z.copy())
             stalled = 0
         else:
             if err < best_err:
                 best_err = err
-                best = (x.copy(), y.copy(), z.copy())
+                best = (x.copy(), z.copy())
             stalled += 1
         if err <= tol:
-            return QpSolution(
-                x=x, y=y, z=z, status="optimal", objective=_objective(qp, x), iterations=iters, residuals=res
-            )
+            return QpSolution(x=x, z=z, status="optimal", objective=_objective(qp, x), iterations=iters, residuals=res)
         if stalled >= 12:
             break
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.clip(z / np.maximum(s, 1e-16), 0.0, 1e18)
-        m_mat = qp.H + G.T @ (w[:, None] * G)
-        kkt = np.zeros((n + me, n + me))
-        kkt[:n, :n] = m_mat
-        if me:
-            kkt[:n, n:] = A.T
-            kkt[n:, :n] = A
-        # tiny static regularization keeps the factorization healthy near the solution
-        kkt[n:, n:] -= 1e-13 * np.eye(me)
         try:
-            lu, piv = scipy.linalg.lu_factor(kkt)
-        except (ValueError, scipy.linalg.LinAlgError):
+            # non-finite entries surface as non-finite steps, checked below
+            factor = scipy.linalg.cho_factor(H + G.T @ (w[:, None] * G), check_finite=False)
+        except scipy.linalg.LinAlgError:
             break
 
-        def newton_step(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        def newton_step(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             s_safe = np.maximum(s, 1e-14)
-            rhs_x = -r_d - G.T @ (rc / s_safe) - G.T @ (w * r_i)
-            rhs = np.concatenate([rhs_x, -r_e]) if me else rhs_x
-            sol = scipy.linalg.lu_solve((lu, piv), rhs)
-            dx = sol[:n]
-            dy = sol[n:] if me else np.zeros(0)
+            dx = scipy.linalg.cho_solve(factor, -r_d - G.T @ (rc / s_safe + w * r_i), check_finite=False)
             ds = -r_i - G @ dx
             dz = (rc - z * ds) / s_safe
-            return dx, dy, ds, dz
+            return dx, ds, dz
 
         # predictor
-        dx_a, dy_a, ds_a, dz_a = newton_step(-s * z)
+        dx_a, ds_a, dz_a = newton_step(-s * z)
         if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(dz_a)) and np.all(np.isfinite(ds_a))):
             break
         alpha_p = _max_step(s, ds_a)
@@ -204,25 +150,20 @@ def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: f
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mi
         sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
 
-        # corrector
+        # corrector; one step length for x, s and z keeps the residuals shrinking together
         rc = -s * z + sigma * mu - ds_a * dz_a
-        dx, dy, ds, dz = newton_step(rc)
+        dx, ds, dz = newton_step(rc)
         if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz)) and np.all(np.isfinite(ds))):
             break
-        alpha_p = 0.99 * _max_step(s, ds)
-        alpha_d = 0.99 * _max_step(z, dz)
+        alpha = 0.99 * min(_max_step(s, ds), _max_step(z, dz))
+        x = x + alpha * dx
+        s = s + alpha * ds
+        z = z + alpha * dz
 
-        x = x + alpha_p * dx
-        s = s + alpha_p * ds
-        y = y + alpha_d * dy
-        z = z + alpha_d * dz
-
-    x, y, z = best if best is not None else (x, y, z)
-    res = kkt_residuals(qp, x, y, z)
-    status = "optimal" if max(res["stationarity"], res["primal"], res["comp"]) <= accept_tol else "max_iter"
-    return QpSolution(
-        x=x, y=y, z=z, status=status, objective=_objective(qp, x), iterations=iters, residuals=res
-    )
+    x, z = best if best is not None else (x, z)
+    res = kkt_residuals(qp, x, z)
+    status = "optimal" if max(res.values()) <= accept_tol else "max_iter"
+    return QpSolution(x=x, z=z, status=status, objective=_objective(qp, x), iterations=iters, residuals=res)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

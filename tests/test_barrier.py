@@ -267,6 +267,40 @@ class TestCbfField:
         v2, inside = field.query_h_checked(1.0, 1.0)
         assert not inside
 
+    def test_batched_query_matches_scalar_queries_bitwise(self):
+        # the batched query against query_h and against a per-point stencil
+        # evaluated with Python floats, on and off the grid (off-grid clamps)
+        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        grid = field.grid
+        rng = np.random.default_rng(7)
+        pts = np.concatenate([
+            rng.uniform(0.0, 3.2, size=(1500, 2)),
+            rng.uniform(-2.0, 5.0, size=(500, 2)),
+            [[-5.0, 1.0], [1.0, 9.0], [0.0, 0.0], [3.2, 3.2], [0.025, 3.175]],
+        ])
+        h, grad = field.query(pts)
+        assert h.shape == (len(pts),) and grad.shape == (len(pts), 2)
+        d = grid.resolution / 4.0
+        x0, y0 = grid.origin + 0.5 * grid.resolution
+        x1 = x0 + (grid.dims[0] - 1) * grid.resolution
+        y1 = y0 + (grid.dims[1] - 1) * grid.resolution
+
+        def sample(x, y):
+            return float(grid.sample_bilinear(x, y)[0])
+
+        for (x, y), hv, (gx, gy) in zip(pts.tolist(), h, grad):
+            assert hv == field.query_h(x, y)
+            assert (gx, gy) == field.query_grad(x, y)
+            cx = min(max(x, x0 + d), x1 - d)
+            cy = min(max(y, y0 + d), y1 - d)
+            assert gx == (sample(cx + d, cy) - sample(cx - d, cy)) / (2.0 * d)
+            assert gy == (sample(cx, cy + d) - sample(cx, cy - d)) / (2.0 * d)
+
+    def test_batched_query_rejects_nonfinite_points(self):
+        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        with pytest.raises(ValueError):
+            field.query(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+
     def test_rejects_nonfinite_queries(self):
         field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         with pytest.raises(ValueError):

@@ -33,28 +33,38 @@ def planar_field_x(extent=20.0):
 class TestLinearization:
     def test_uniform_field_inactive(self):
         field = uniform_field()
-        C, D, c = linearize_cbf_constraint(field, np.zeros(3), np.zeros(3), 0.2, 0.03)
+        C, D, c = linearize_cbf_constraint(field, np.zeros((1, 3)), np.zeros((1, 3)), 0.2, 0.03)
         np.testing.assert_allclose(C, 0.0, atol=1e-12)
         np.testing.assert_allclose(D, 0.0, atol=1e-12)
-        assert c == pytest.approx(0.03 * CBF.theta_cutoff)
+        assert c[0] == pytest.approx(0.03 * CBF.theta_cutoff)
 
     def test_planar_field_hand_values(self):
         field = planar_field_x()
-        C, D, c = linearize_cbf_constraint(field, np.array([1.0, 5.0, 0.0]), np.array([0.5, 0.0, 0.0]), 0.2, 0.1)
-        np.testing.assert_allclose(C, [0.1, 0.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(D, [0.2, 0.0, 0.0], atol=1e-9)
-        assert c == pytest.approx(1.1 - 0.9 * 1.0, abs=1e-9)
+        C, D, c = linearize_cbf_constraint(field, np.array([[1.0, 5.0, 0.0]]), np.array([[0.5, 0.0, 0.0]]), 0.2, 0.1)
+        np.testing.assert_allclose(C[0], [0.1, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(D[0], [0.2, 0.0, 0.0], atol=1e-9)
+        assert c[0] == pytest.approx(1.1 - 0.9 * 1.0, abs=1e-9)
 
     def test_zero_operating_input(self):
         field = planar_field_x()
         gamma = 0.25
-        x_op = np.array([2.0, 4.0, 0.3])
-        _, _, c = linearize_cbf_constraint(field, x_op, np.zeros(3), 0.2, gamma)
-        assert c == pytest.approx(gamma * field.query_h(2.0, 4.0), abs=1e-9)
+        x_op = np.array([[2.0, 4.0, 0.3]])
+        _, _, c = linearize_cbf_constraint(field, x_op, np.zeros((1, 3)), 0.2, gamma)
+        assert c[0] == pytest.approx(gamma * field.query_h(2.0, 4.0), abs=1e-9)
 
     def test_rejects_nonfinite_operating_point(self):
         with pytest.raises(ValueError):
-            linearize_cbf_constraint(uniform_field(), np.array([np.nan, 0, 0]), np.zeros(3), 0.2, 0.1)
+            linearize_cbf_constraint(uniform_field(), np.array([[np.nan, 0, 0]]), np.zeros((1, 3)), 0.2, 0.1)
+
+    def test_rows_match_single_step_linearization(self):
+        field = planar_field_x()
+        rng = np.random.default_rng(5)
+        x_op = np.column_stack([rng.uniform(1, 4, 10), rng.uniform(2, 8, 10), rng.uniform(-1, 1, 10)])
+        u_op = rng.uniform(-0.5, 0.5, size=(10, 3))
+        C, D, c = linearize_cbf_constraint(field, x_op, u_op, 0.2, 0.1)
+        for k in range(10):
+            Ck, Dk, ck = linearize_cbf_constraint(field, x_op[k : k + 1], u_op[k : k + 1], 0.2, 0.1)
+            assert np.array_equal(C[k], Ck[0]) and np.array_equal(D[k], Dk[0]) and c[k] == ck[0]
 
 
 class TestBuildQp:
@@ -68,23 +78,35 @@ class TestBuildQp:
 
     def test_matches_dense_lq_oracle(self):
         # no obstacles, generous input box: the QP reduces to equality-constrained
-        # tracking, solvable directly through one dense KKT system
+        # tracking in state-input space, solvable directly through one dense KKT system
         params = ControllerParams(v_max=50.0, omega_max=50.0)
-        T = params.horizon
+        T, dt = params.horizon, params.dt
         x0 = np.zeros(3)
         goal = np.array([1.0, 0.0, 0.0])
-        field = uniform_field()
-        qp = build_qp(params, x0, hold_trajectory(x0, T), field, goal)
+        qp = build_qp(params, x0, hold_trajectory(x0, T), uniform_field(), goal)
+        assert qp.g.shape[0] == 4 * T and qp.b_eq.shape[0] == 0
         sol = solve_qp(qp)
 
-        n = 3 * (T + 1) + 3 * T
-        H = qp.H[:n, :n]
-        g = qp.g[:n]
-        A = qp.A_eq[:, :n]
-        kkt = np.block([[H, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
-        rhs = np.concatenate([-g, qp.b_eq])
-        ref = np.linalg.solve(kkt, rhs)[:n]
-        np.testing.assert_allclose(sol.x[:n], ref, atol=1e-6)
+        # variables (x_0..x_T, u_0..u_{T-1}); cost sum (x_k - goal)' W_k (x_k - goal) + u_k' R u_k
+        n_x, n_u = 3 * (T + 1), 3 * T
+        w = np.concatenate([np.tile(params.q_diag, T), params.p_diag])
+        H = np.diag(np.concatenate([2.0 * w, np.tile(2.0 * np.array(params.r_diag), T)]))
+        g = np.concatenate([-2.0 * w * np.tile(goal, T + 1), np.zeros(n_u)])
+        A = np.zeros((n_x, n_x + n_u))
+        b = np.zeros(n_x)
+        A[:3, :3] = np.eye(3)
+        b[:3] = x0
+        for k in range(T):
+            rows = slice(3 * (k + 1), 3 * (k + 2))
+            A[rows, 3 * (k + 1) : 3 * (k + 2)] = np.eye(3)
+            A[rows, 3 * k : 3 * (k + 1)] = -np.eye(3)
+            A[rows, n_x + 3 * k : n_x + 3 * (k + 1)] = -dt * np.eye(3)
+        kkt = np.block([[H, A.T], [A, np.zeros((n_x, n_x))]])
+        ref = np.linalg.solve(kkt, np.concatenate([-g, b]))[: n_x + n_u]
+        np.testing.assert_allclose(sol.x[:n_u], ref[n_x : n_x + n_u], atol=1e-6)
+        np.testing.assert_allclose(sol.x[n_u:], 0.0, atol=1e-6)  # no slack in free space
+        f_ref = 0.5 * ref @ H @ ref + g @ ref + float(np.sum(w * np.tile(goal, T + 1) ** 2))
+        assert sol.objective == pytest.approx(f_ref, rel=1e-6)
 
     def test_inactive_cbf_rows_do_not_change_solution(self):
         params = ControllerParams()
@@ -92,10 +114,17 @@ class TestBuildQp:
         goal = np.array([0.3, 0.1, 0.0])
         field = uniform_field()
         with_rows = solve_qp(build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CBF))
-        n = 3 * (params.horizon + 1) + 3 * params.horizon
+        n_u = 3 * params.horizon
         qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CLASSIC)
+        assert qp.g.shape[0] == n_u
         without = solve_qp(qp)
-        np.testing.assert_allclose(with_rows.x[:n], without.x[:n], atol=1e-6)
+        np.testing.assert_allclose(with_rows.x[:n_u], without.x, atol=1e-6)
+
+    def test_condensed_shape(self):
+        params = ControllerParams()
+        x0 = np.zeros(3)
+        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.ones(3))
+        assert (qp.g.shape[0], qp.b_eq.shape[0], qp.h_in.shape[0]) == (40, 0, 124)
 
 
 class TestMpcStep:
@@ -149,11 +178,12 @@ class TestMpcStep:
             op_s, op_u = traj.states.copy(), traj.inputs.copy()
             u, traj = mpc_step(params, x0, traj, field, goal)
             assert traj.status == "ok"
-            for k in range(params.horizon):
-                C, D, c = linearize_cbf_constraint(field, op_s[k], op_u[k], params.dt, params.gamma_bar)
+            T = params.horizon
+            C, D, c = linearize_cbf_constraint(field, op_s[:T], op_u, params.dt, params.gamma_bar)
+            for k in range(T):
                 dx = traj.states[k] - op_s[k]
                 du = traj.inputs[k] - op_u[k]
-                assert C @ dx + D @ du + c + traj.slack[k] >= -1e-6
+                assert C[k] @ dx + D[k] @ du + c[k] + traj.slack[k] >= -1e-6
             x0 = x0 + params.dt * np.array([u.vx, u.vy, u.omega])
 
     def test_gamma_scales_approach_speed(self):

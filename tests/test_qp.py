@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.qp import QpProblem, kkt_residuals, solve_qp
 
@@ -55,27 +57,6 @@ class TestSolveQp:
             assert sol.status == "optimal"
             np.testing.assert_allclose(sol.x, expected, atol=1e-6)
 
-    def test_equality_constrained(self):
-        H = np.diag([2.0, 4.0])
-        g = np.array([-2.0, -4.0])
-        A = np.array([[1.0, 1.0]])
-        b = np.array([3.0])
-        qp = QpProblem(H=H, g=g, A_eq=A, b_eq=b, G_in=np.zeros((0, 2)), h_in=np.zeros(0))
-        sol = solve_qp(qp)
-        # analytic: minimize (x-1)^2 + 2(y-1)^2 on x + y = 3
-        assert sol.x == pytest.approx([5.0 / 3.0, 4.0 / 3.0], abs=1e-9)
-        assert max(sol.residuals.values()) <= 1e-8
-
-    def test_mixed_equality_inequality(self):
-        H = np.eye(3) * 2
-        g = np.zeros(3)
-        A = np.array([[1.0, 1.0, 1.0]])
-        b = np.array([1.0])
-        G = -np.eye(3)
-        h = np.zeros(3)
-        sol = solve_qp(QpProblem(H=H, g=g, A_eq=A, b_eq=b, G_in=G, h_in=h))
-        assert sol.x == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-8)
-
     def test_slacked_row_absorbs_infeasibility(self):
         # min x^2 s.t. x >= 1 and x <= 0 is infeasible; slack sigma on the second
         # row restores feasibility and at the optimum equals the violation of the
@@ -104,7 +85,7 @@ class TestSolveQp:
         g = rng.normal(size=4)
         qp = box_qp(H, g, -np.ones(4), np.ones(4))
         sol = solve_qp(qp)
-        recomputed = kkt_residuals(qp, sol.x, sol.y, sol.z)
+        recomputed = kkt_residuals(qp, sol.x, sol.z)
         assert sol.residuals == recomputed
         assert all(v <= 1e-6 for v in recomputed.values())
 
@@ -112,3 +93,71 @@ class TestSolveQp:
         with pytest.raises(ValueError):
             QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), g=np.zeros(2),
                       A_eq=np.zeros((0, 2)), b_eq=np.zeros(0), G_in=np.zeros((0, 2)), h_in=np.zeros(0))
+
+    def test_rejects_equality_rows(self):
+        with pytest.raises(ValueError):
+            QpProblem(H=np.eye(2), g=np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1),
+                      G_in=np.eye(2), h_in=np.ones(2))
+
+    def test_equality_fields_default_empty(self):
+        qp = QpProblem(H=np.eye(2), g=np.zeros(2), G_in=np.eye(2), h_in=np.ones(2))
+        assert qp.A_eq.shape == (0, 2) and qp.b_eq.shape == (0,)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def random_pd(rng, n):
+    m = rng.normal(size=(n, n))
+    return m @ m.T + rng.uniform(0.1, n) * np.eye(n)
+
+
+class TestSolveQpProperties:
+    @PROPERTY
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), g_scale=st.floats(0.1, 100.0))
+    def test_box_qps_match_enumeration(self, n, seed, g_scale):
+        rng = np.random.default_rng(seed)
+        H = random_pd(rng, n)
+        g = rng.normal(size=n) * g_scale
+        lo = -rng.uniform(0.05, 2.0, size=n)
+        hi = rng.uniform(0.05, 2.0, size=n)
+        sol = solve_qp(box_qp(H, g, lo, hi))
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, enumerate_box_qp(H, g, lo, hi), atol=1e-6)
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           pull=st.floats(-10.0, 10.0))
+    def test_feasible_general_rows_with_slack_are_optimal(self, n, m, seed, pull):
+        # general rows feasible at a known point, plus one row softened by a
+        # heavily penalized slack (the controller's barrier-row shape)
+        rng = np.random.default_rng(seed)
+        rho = 1.0e4
+        x_feas = rng.normal(size=n)
+        A = rng.normal(size=(m, n))
+        b = A @ x_feas + rng.uniform(0.0, 1.0, size=m)
+        a_soft = rng.normal(size=n)
+        b_soft = a_soft @ x_feas + pull  # pull < 0: the soft row alone is violated at x_feas
+        H = np.zeros((n + 1, n + 1))
+        H[:n, :n] = random_pd(rng, n)
+        g = np.concatenate([rng.normal(size=n) * 5.0, [rho]])
+        G = np.zeros((m + 2, n + 1))
+        G[:m, :n] = A
+        G[m, :n], G[m, n] = a_soft, -1.0
+        G[m + 1, n] = -1.0
+        qp = QpProblem(H=H, g=g, G_in=G, h_in=np.concatenate([b, [b_soft, 0.0]]))
+        sol = solve_qp(qp)
+        assert sol.status == "optimal"
+        assert max(sol.residuals.values()) <= 1e-6
+        assert sol.residuals == kkt_residuals(qp, sol.x, sol.z)
+
+    @PROPERTY
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), rhs=st.floats(-10.0, -1e-3))
+    def test_zero_row_with_negative_rhs_is_degraded(self, n, seed, rhs):
+        rng = np.random.default_rng(seed)
+        H = random_pd(rng, n)
+        G = np.vstack([np.eye(n), -np.eye(n), np.zeros((1, n))])
+        h = np.concatenate([np.ones(2 * n), [rhs]])
+        sol = solve_qp(QpProblem(H=H, g=rng.normal(size=n), G_in=G, h_in=h))
+        assert sol.degraded
+        assert sol.residuals["primal"] >= -rhs - 1e-12

@@ -135,3 +135,16 @@ def test_goal_at_start_terminates_immediately():
     rec = run_closed_loop(sc)
     assert rec.goal_reached and rec.goal_time == 0.0
     assert rec.rows == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed, gamma", [(311256609, 0.03), (400206112, 0.01)])
+def test_wall_sweep_solves_every_tick(scenario_dir, seed, gamma):
+    # scenario seeds on which a solver that stepped x and z by different
+    # lengths stalled just above the acceptance residual and degraded a tick
+    sc = load_scenario(scenario_dir / "wall_sweep.json")
+    sc = replace(sc, seed=seed, controller=replace(sc.controller, gamma_bar=gamma))
+    rec = run_closed_loop(sc)
+    assert rec.goal_reached
+    assert [i for i, r in enumerate(rec.rows) if r.degraded] == []
+    assert max(max(r.residuals.values()) for r in rec.rows) <= 1e-6
