@@ -110,16 +110,22 @@ def project_2p5d(global_tsdf: GlobalTsdf, theta_z: float) -> tuple[Grid2D, np.nd
     """Column-wise minimum magnitude of the 3D map over 0 < z <= theta_z.
 
     Returns the 2D grid and the per-cell owner id of the minimizing voxel.
+    Equal magnitudes go to the lowest layer in the window, and the owner is
+    read from that layer (``argmin``'s tie rule, kept by the strict ``<``).
     """
     res = global_tsdf.resolution
     z_centers = global_tsdf.origin[2] + (np.arange(global_tsdf.dims[2]) + 0.5) * res
-    zsel = (z_centers > 0.0) & (z_centers <= theta_z)
-    if not zsel.any():
+    layers = np.flatnonzero((z_centers > 0.0) & (z_centers <= theta_z))
+    if layers.size == 0:
         raise ValueError("no voxel layer falls inside the height window")
-    mag = np.abs(global_tsdf.values[:, :, zsel])
-    k_min = np.argmin(mag, axis=2)
-    values = np.take_along_axis(mag, k_min[:, :, None], axis=2)[:, :, 0]
-    owner = np.take_along_axis(global_tsdf.owner[:, :, zsel], k_min[:, :, None], axis=2)[:, :, 0]
+    values = np.abs(global_tsdf.values[:, :, layers[0]])
+    owner = global_tsdf.owner[:, :, layers[0]].copy()
+    mag = np.empty_like(values)
+    for k in layers[1:]:
+        np.abs(global_tsdf.values[:, :, k], out=mag)
+        better = mag < values
+        np.copyto(values, mag, where=better)
+        np.copyto(owner, global_tsdf.owner[:, :, k], where=better)
     grid = Grid2D(origin=global_tsdf.origin[:2].copy(), resolution=res, values=values)
     return grid, owner
 
@@ -135,28 +141,27 @@ def extract_labeled_boundary(
 
     Cells whose owner is missing from the library are dropped as stale.
     """
-    sel = m25.values <= theta_zero
-    ix, iy = np.nonzero(sel)
-    oid = owner[ix, iy]
-    ev = np.zeros(ix.shape[0])
-    st = np.zeros(ix.shape[0], dtype=int)
-    keep = np.zeros(ix.shape[0], dtype=bool)
-    for n, o in enumerate(oid):
-        rec = library.records.get(int(o))
-        if rec is None:
-            continue
-        keep[n] = True
-        ev[n] = rec.consistency.mean_consistency if consistency_override is None else consistency_override
-        st[n] = rec.stationarity
-    ix, iy, oid, ev, st = ix[keep], iy[keep], oid[keep], ev[keep], st[keep]
+    ix, iy = np.nonzero(m25.values <= theta_zero)
+    oid = owner[ix, iy].astype(int)
+    # per-object label tables in ascending id order, looked up by binary search
+    objs = library.objects()
+    ids = np.array([rec.id for rec in objs], dtype=int)
+    ev_of = np.array([rec.consistency.mean_consistency for rec in objs], dtype=float)
+    if consistency_override is not None:
+        ev_of[:] = consistency_override
+    st_of = np.array([rec.stationarity for rec in objs], dtype=int)
+    slot = np.searchsorted(ids, oid)
+    keep = slot < ids.size
+    keep[keep] = ids[slot[keep]] == oid[keep]
+    ix, iy, oid, slot = ix[keep], iy[keep], oid[keep], slot[keep]
     xs = m25.origin[0] + (ix + 0.5) * m25.resolution
     ys = m25.origin[1] + (iy + 0.5) * m25.resolution
     return LabeledBoundary(
         cells=np.stack([ix, iy], axis=1),
         positions=np.stack([xs, ys], axis=1),
-        owner_ids=oid.astype(int),
-        consistency=ev,
-        stationarity=st,
+        owner_ids=oid,
+        consistency=ev_of[slot],
+        stationarity=st_of[slot],
     )
 
 

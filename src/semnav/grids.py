@@ -30,6 +30,7 @@ class VoxelGrid3D:
     resolution: float
     values: np.ndarray  # (nx, ny, nz)
     weights: np.ndarray  # (nx, ny, nz)
+    background: float = 0.0  # value of never-observed voxels, also used when growing
 
     @classmethod
     def empty(cls, origin, resolution: float, dims, fill: float = 0.0) -> "VoxelGrid3D":
@@ -40,6 +41,7 @@ class VoxelGrid3D:
             resolution=resolution,
             values=np.full(dims, fill, dtype=np.float64),
             weights=np.zeros(dims, dtype=np.float64),
+            background=fill,
         )
 
     @property
@@ -85,16 +87,12 @@ class VoxelGrid3D:
         new_dims = np.ceil(np.round((new_hi - new_lo) / self.resolution, 9)).astype(int)
         if np.array_equal(new_lo, self.origin) and np.array_equal(new_dims, self.dims):
             return self
-        grown = VoxelGrid3D.empty(new_lo, self.resolution, new_dims, fill=self._background)
+        grown = VoxelGrid3D.empty(new_lo, self.resolution, new_dims, fill=self.background)
         off = np.round((self.origin - grown.origin) / self.resolution).astype(int)
         sl = tuple(slice(off[a], off[a] + self.dims[a]) for a in range(3))
         grown.values[sl] = self.values
         grown.weights[sl] = self.weights
-        grown._background = self._background
         return grown
-
-    # background fill used when growing; set by the TSDF layer
-    _background: float = 0.0
 
 
 @dataclass

@@ -26,6 +26,12 @@ class MapParams:
     weight_cap: float = 100.0
     gate: float = 1.0
 
+    def __post_init__(self):
+        for name in ("resolution", "truncation", "weight_cap", "gate"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+
 
 @dataclass
 class Observation:
@@ -271,7 +277,6 @@ def spawn_object(
         np.ceil((np.ptp(obs.points, axis=0) + 2 * pad) / params.resolution).astype(int) + 1,
         fill=tau,
     )
-    grid._background = tau
     rec = ObjectRecord(
         id=oid,
         class_id=obs.class_id,
@@ -317,11 +322,10 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
         gsl = tuple(slice(lo[a] - g_lo[a], hi[a] - g_lo[a]) for a in range(3))
         osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
         cand = np.where(rec.tsdf.weights[osl] > 0.0, rec.tsdf.values[osl], tau)
-        better = cand < values[gsl]
-        values[gsl] = np.where(better, cand, values[gsl])
-        owner_region = owner[gsl]
-        owner_region[better] = rec.id
-        owner[gsl] = owner_region
+        region = values[gsl]
+        better = cand < region
+        np.copyto(region, cand, where=better)
+        np.copyto(owner[gsl], rec.id, where=better)
 
     return GlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
 

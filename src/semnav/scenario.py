@@ -8,7 +8,8 @@ with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+import sys
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .barrier import CbfParams
@@ -77,17 +78,23 @@ def _expect_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
+def _finite(v) -> float | None:
+    """The value as a float if it is a finite JSON number, else None."""
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    return float(v) if ok else None
+
+
 def _get_num(obj: dict, key: str, path: str, default=None, minimum=None):
     if key not in obj:
         if default is None:
             raise ScenarioError(f"{path}.{key}: required")
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {type(v).__name__}")
+    v = _finite(obj[key])
+    if v is None:
+        raise ScenarioError(f"{path}.{key}: expected a finite number, got {obj[key]!r:.40}")
     if minimum is not None and v < minimum:
         raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
-    return float(v)
+    return v
 
 
 def _get_vec(obj: dict, key: str, n: int, path: str, default=None):
@@ -96,9 +103,10 @@ def _get_vec(obj: dict, key: str, n: int, path: str, default=None):
             raise ScenarioError(f"{path}.{key}: required")
         return default
     v = obj[key]
-    if not isinstance(v, list) or len(v) != n or any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in v):
-        raise ScenarioError(f"{path}.{key}: expected a list of {n} numbers")
-    return tuple(float(e) for e in v)
+    vec = tuple(_finite(e) for e in v) if isinstance(v, list) else ()
+    if len(vec) != n or None in vec:
+        raise ScenarioError(f"{path}.{key}: expected a list of {n} finite numbers")
+    return vec
 
 
 def _parse_object(obj: dict, i: int) -> WorldObject:
@@ -146,31 +154,6 @@ def _parse_event(ev: dict, i: int) -> SceneEvent:
     return SceneEvent(trigger_time=t, object_id=ev["object_id"], action=action, new_center=center, new_yaw=yaw)
 
 
-_CAMERA_KEYS = {
-    "horizontal_fov",
-    "rays_per_scan",
-    "vertical_levels",
-    "vertical_fov",
-    "max_range",
-    "depth_noise_sigma",
-    "mount_height",
-}
-_MAP_KEYS = {"resolution", "truncation", "weight_cap", "gate"}
-_CBF_KEYS = {"theta_z", "theta_zero", "theta_cutoff", "bias", "lambda_c", "lambda_s"}
-_CONTROLLER_KEYS = {
-    "horizon",
-    "dt",
-    "gamma_bar",
-    "q_diag",
-    "r_diag",
-    "p_diag",
-    "v_max",
-    "omega_max",
-    "rho_slack",
-    "classic_epsilon",
-}
-_CONSISTENCY_KEYS = {"sigma_m", "removal_threshold", "n_max", "rho_s", "prior_static", "prior_dynamic", "prior_sigma"}
-
 _TOP_KEYS = {
     "name",
     "workspace",
@@ -192,27 +175,36 @@ _TOP_KEYS = {
 }
 
 
-def _parse_section(data: dict, key: str, allowed: set[str], cls, path: str, int_keys=()):
+def _parse_section(data: dict, key: str, cls, exclude=()):
+    """Build a parameter dataclass from a JSON object, each value shaped like the field's default.
+
+    The keys are the dataclass fields not in ``exclude``. An int default takes
+    an integer, a tuple default a list of as many finite numbers, any other
+    default one finite number.
+    """
     sec = data.get(key, {})
     if not isinstance(sec, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _expect_keys(sec, allowed, path)
+        raise ScenarioError(f"{key}: expected an object")
+    defaults = {f.name: f.default for f in fields(cls) if f.name not in exclude}
+    _expect_keys(sec, set(defaults), key)
     kwargs = {}
     for k, v in sec.items():
-        if k in int_keys:
+        if isinstance(defaults[k], int):
             if isinstance(v, bool) or not isinstance(v, int):
-                raise ScenarioError(f"{path}.{k}: expected an integer")
+                raise ScenarioError(f"{key}.{k}: expected an integer")
             kwargs[k] = v
-        elif isinstance(v, list):
-            kwargs[k] = tuple(float(e) for e in v)
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ScenarioError(f"{path}.{k}: expected a number")
+        elif isinstance(defaults[k], tuple):
+            kwargs[k] = _get_vec(sec, k, len(defaults[k]), key)
         else:
-            kwargs[k] = float(v)
+            kwargs[k] = _get_num(sec, k, key)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+        # parameter checks start their message with the field name ("horizon must be >= 1")
+        name, _, rest = str(exc).partition(" ")
+        if name in defaults:
+            raise ScenarioError(f"{key}.{name}: {rest}") from exc
+        raise ScenarioError(f"{key}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -243,9 +235,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     override = data.get("consistency_override")
     if override is not None:
-        if isinstance(override, bool) or not isinstance(override, (int, float)):
-            raise ScenarioError("consistency_override: expected a number or null")
-        override = float(override)
+        override = _get_num(data, "consistency_override", "root")
 
     snap = data.get("snapshot_ticks", [])
     if not isinstance(snap, list) or any(isinstance(t, bool) or not isinstance(t, int) for t in snap):
@@ -255,11 +245,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("seed: expected an integer")
 
-    camera = _parse_section(data, "camera", _CAMERA_KEYS, DepthCamera, "camera", int_keys=("rays_per_scan", "vertical_levels"))
-    map_params = _parse_section(data, "map", _MAP_KEYS, MapParams, "map")
-    cbf = _parse_section(data, "cbf", _CBF_KEYS, CbfParams, "cbf")
-    controller = _parse_section(data, "controller", _CONTROLLER_KEYS, ControllerParams, "controller", int_keys=("horizon",))
-    consistency = _parse_section(data, "consistency", _CONSISTENCY_KEYS, ConsistencyParams, "consistency")
+    camera = _parse_section(data, "camera", DepthCamera)
+    map_params = _parse_section(data, "map", MapParams)
+    cbf = _parse_section(data, "cbf", CbfParams)
+    controller = _parse_section(data, "controller", ControllerParams, exclude=("workspace",))
+    consistency = _parse_section(data, "consistency", ConsistencyParams)
 
     try:
         return Scenario(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.barrier import (
     CbfField,
@@ -11,8 +13,9 @@ from semnav.barrier import (
     extract_labeled_boundary,
     project_2p5d,
 )
+from semnav.consistency import GaussianBetaState
 from semnav.grids import Grid2D
-from semnav.mapping import GlobalTsdf, spawn_object
+from semnav.mapping import GlobalTsdf, remove_object, spawn_object
 
 from conftest import make_observation
 
@@ -77,20 +80,29 @@ class TestProjection:
         assert m25.values[3, 3] == pytest.approx(0.01)
         assert own[3, 3] == 7
 
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(2)
-        vals = rng.uniform(-0.3, 0.3, size=(8, 8, 8))
-        owner = rng.integers(0, 4, size=(8, 8, 8)).astype(np.int32)
-        g = GlobalTsdf(origin=np.zeros(3), resolution=RES, values=vals, owner=owner)
-        theta_z = 0.3
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), nz=st.integers(1, 10), below=st.integers(0, 3),
+           theta_z=st.floats(0.01, 0.6))
+    def test_matches_elementwise_oracle(self, seed, nz, below, theta_z):
+        # values from a small set, so equal |v| and +-v pairs with different
+        # owners share a column; an origin below z = 0 drops bottom layers
+        rng = np.random.default_rng(seed)
+        vals = rng.choice([-0.1, 0.0, 0.1, 0.3], size=(5, 4, nz))
+        owner = rng.integers(-1, 4, size=(5, 4, nz)).astype(np.int32)
+        z0 = -below * RES
+        g = GlobalTsdf(origin=np.array([0.0, 0.0, z0]), resolution=RES, values=vals, owner=owner)
+        zsel = [k for k in range(nz) if 0.0 < z0 + (k + 0.5) * RES <= theta_z]
+        if not zsel:
+            with pytest.raises(ValueError, match="height window"):
+                project_2p5d(g, theta_z)
+            return
         m25, own = project_2p5d(g, theta_z)
-        zsel = [k for k in range(8) if 0.0 < (k + 0.5) * RES <= theta_z]
-        for i in range(8):
-            for j in range(8):
-                col = np.abs(vals[i, j, zsel])
-                k = int(np.argmin(col))
-                assert m25.values[i, j] == col[k]
-                assert own[i, j] == owner[i, j, zsel[k]]
+        assert m25.values.dtype == np.float64 and own.dtype == owner.dtype
+        for i in range(5):
+            for j in range(4):
+                k = min(zsel, key=lambda k: abs(vals[i, j, k]))  # first (lowest) minimum wins
+                assert m25.values[i, j] == abs(vals[i, j, k])
+                assert own[i, j] == owner[i, j, k]
 
     def test_height_window_excludes_upper_layers(self):
         vals = np.full((4, 4, 8), 0.3)
@@ -137,6 +149,36 @@ class TestBoundaryExtraction:
         owner[3, 3] = 99  # not in the library
         b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
         assert len(b) == 0
+
+    @pytest.mark.parametrize("override", [None, 0.25])
+    def test_labels_match_library_records(self, small_library, override):
+        # live ids 0, 2, 3, 5 with distinct E[v] and both stationarity labels;
+        # owners 1 and 4 are stale ids between them, 6 and 40 lie above the largest
+        recs = [spawn_object(make_observation([[1.0 + 0.3 * k, 0.0, 0.2]], instance_id=k,
+                                              stationarity=k % 2), small_library, (0, 0, 0.3))
+                for k in range(6)]
+        for k, rec in enumerate(recs):
+            rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k, beta=2.0)
+        remove_object(small_library, 1)
+        remove_object(small_library, 4)
+        rng = np.random.default_rng(3)
+        m25 = Grid2D.full((0.2, -0.4), RES, (20, 16), 0.3)
+        m25.values[:] = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], size=(20, 16))
+        owner = rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 40], size=(20, 16))
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library, consistency_override=override)
+        expected = [(i, j) for i, j in zip(*np.nonzero(m25.values <= PARAMS.theta_zero))
+                    if int(owner[i, j]) in small_library.records]
+        assert 0 < len(expected) < np.count_nonzero(m25.values <= PARAMS.theta_zero)
+        assert [tuple(c) for c in b.cells] == expected
+        for n, (i, j) in enumerate(expected):
+            rec = small_library.records[int(owner[i, j])]
+            assert b.owner_ids[n] == rec.id
+            assert b.stationarity[n] == rec.stationarity
+            assert b.consistency[n] == (rec.consistency.mean_consistency if override is None else override)
+            assert b.positions[n, 0] == m25.origin[0] + (i + 0.5) * RES
+            assert b.positions[n, 1] == m25.origin[1] + (j + 0.5) * RES
+        assert {int(o) for o in b.owner_ids} == {0, 2, 3, 5}
+        assert set(b.stationarity.tolist()) == {0, 1}
 
     def test_consistency_override(self, small_library):
         rec = spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))

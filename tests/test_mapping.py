@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from semnav.grids import VoxelGrid3D
 from semnav.mapping import (
     FORBIDDEN_COST,
     MapParams,
@@ -253,6 +254,16 @@ class TestSpawnRemove:
         new = spawn_object(make_observation([[2.0, 0, 0.2]]), small_library, (0, 0, 0.3))
         assert new.id > max(ids)
 
+    def test_spawned_grid_keeps_truncation_background_when_grown(self, small_library):
+        tau = small_library.params.truncation
+        rec = spawn_object(make_observation([[1.0, 0, 0.2]]), small_library, (0, 0, 0.3))
+        assert rec.tsdf.background == tau
+        dims = rec.tsdf.dims
+        integrate_observation(rec, make_observation([[2.0, 0.5, 0.2]]), (0, 0, 0.3), small_library.params)
+        assert rec.tsdf.dims != dims
+        assert rec.tsdf.background == tau
+        assert np.all(rec.tsdf.values[rec.tsdf.weights == 0.0] == tau)
+
     def test_spawn_empty_rejected(self, small_library):
         with pytest.raises(ValueError):
             spawn_object(make_observation(np.zeros((0, 3))), small_library, (0, 0, 0.3))
@@ -271,6 +282,23 @@ class TestSpawnRemove:
         assert np.all(g.values == small_library.params.truncation)
         with pytest.raises(KeyError):
             remove_object(small_library, rec.id)
+
+
+def test_voxel_grid_background_carries_over_growth():
+    grid = VoxelGrid3D.empty((0.0, 0.0, 0.0), 0.1, (2, 2, 2), fill=0.7)
+    assert grid.background == 0.7
+    grid.values[:] = 0.2
+    grown = grid.grown_to_include(np.array([-0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.2]))
+    assert grown.dims == (5, 2, 2) and grown.background == 0.7
+    assert np.all(grown.values[3:] == 0.2) and np.all(grown.values[:3] == 0.7)
+    assert grid.grown_to_include(np.zeros(3), np.full(3, 0.2)) is grid
+
+
+@pytest.mark.parametrize("field", ["resolution", "truncation", "weight_cap", "gate"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_map_params_reject_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        MapParams(**{field: value})
 
 
 def test_export_global_tsdf_roundtrip(tmp_path, small_library):

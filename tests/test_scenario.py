@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.scenario import (
     MODE_CLASSIC,
@@ -9,7 +12,10 @@ from semnav.scenario import (
     load_scenario,
     save_scenario,
     scenario_from_dict,
+    scenario_to_dict,
 )
+
+from conftest import SCENARIO_DIR
 
 MINIMAL = {
     "name": "mini",
@@ -99,3 +105,41 @@ def test_shipped_scenarios_round_trip(scenario_dir, tmp_path):
         out = tmp_path / p.name
         save_scenario(sc, out)
         assert load_scenario(out) == sc
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("controller", "dt", [0.2, 0.1]),
+    ("map", "resolution", 0),
+    ("map", "resolution", float("nan")),
+    ("controller", "q_diag", 1.0),
+    ("controller", "q_diag", [1.0, 1.0]),
+    ("camera", "horizontal_fov", ["a"]),
+    ("camera", "horizontal_fov", [[1]]),
+    ("consistency", "prior_static", [9.0, float("inf")]),
+    ("controller", "horizon", 0),
+])
+def test_bad_section_value_names_field(section, key, value):
+    bad = dict(MINIMAL, **{section: {key: value}})
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: "):
+        scenario_from_dict(bad)
+
+
+BASE = scenario_to_dict(load_scenario(SCENARIO_DIR / "drawer_gap.json"))  # every section key spelled out
+SECTION_KEYS = [(sec, key) for sec in ("camera", "map", "cbf", "controller", "consistency") for key in sorted(BASE[sec])]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(target=st.sampled_from(SECTION_KEYS), value=JSON_VALUES)
+def test_any_section_value_loads_or_raises_scenario_error(target, value):
+    section, key = target
+    data = copy.deepcopy(BASE)
+    data[section][key] = value
+    try:
+        scenario_from_dict(data)
+    except ScenarioError as exc:
+        assert str(exc).startswith(section)
