@@ -59,7 +59,6 @@ class CbfField:
 
     grid: Grid2D
     params: CbfParams
-    built_at: float = 0.0  # sim time of construction
 
     def query(self, xy) -> tuple[np.ndarray, np.ndarray]:
         """Barrier values (N,) and gradients (N, 2) at an (N, 2) array of world points.
@@ -200,11 +199,10 @@ def build_plain_edf(m25: Grid2D, theta_zero: float, params: CbfParams) -> Grid2D
     return Grid2D(origin=m25.origin.copy(), resolution=m25.resolution, values=values)
 
 
-def build_cbf_field(edf: Grid2D, params: CbfParams, built_at: float = 0.0) -> CbfField:
+def build_cbf_field(edf: Grid2D, params: CbfParams) -> CbfField:
     """Apply the cutoff: h = min(edf, theta_cutoff) pointwise."""
     values = np.minimum(edf.values, params.theta_cutoff)
     return CbfField(
         grid=Grid2D(origin=edf.origin.copy(), resolution=edf.resolution, values=values),
         params=params,
-        built_at=built_at,
     )

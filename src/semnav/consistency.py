@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class GaussianBetaState:
@@ -149,35 +147,3 @@ def update_consistency(
 
     return GaussianBetaState(mu=e_l, sigma=math.sqrt(var_l), alpha=a_new, beta=b_new), degenerate
 
-
-def posterior_moments_by_quadrature(
-    state: GaussianBetaState,
-    delta: float,
-    params: ConsistencyParams,
-    n_l: int = 3001,
-    n_v: int = 1501,
-) -> tuple[float, float, float]:
-    """Brute-force posterior moments by 2-D trapezoid integration.
-
-    Independent oracle for the closed-form update: integrates the
-    unnormalized posterior over a wide shift range and the unit interval and
-    returns (E[v], E[l], Var[l]).
-    """
-    mu, sig, a, b = state.mu, state.sigma, state.alpha, state.beta
-    vm = params.sigma_m**2
-    span = 10.0 * max(sig, params.sigma_m)
-    lo = min(mu, delta, 0.0) - span
-    hi = max(mu, delta, 0.0) + span
-    l = np.linspace(lo, hi, n_l)
-    v = np.linspace(0.0, 1.0, n_v)
-    lg, vg = np.meshgrid(l, v, indexing="ij")
-
-    lik = vg * np.exp(-0.5 * delta**2 / vm) + (1.0 - vg) * np.exp(-0.5 * (delta - lg) ** 2 / vm)
-    prior = np.exp(-0.5 * (lg - mu) ** 2 / sig**2) * np.power(vg, a - 1.0) * np.power(1.0 - vg, b - 1.0)
-    post = lik * prior
-
-    z = np.trapezoid(np.trapezoid(post, v, axis=1), l)
-    e_v = np.trapezoid(np.trapezoid(post * vg, v, axis=1), l) / z
-    e_l = np.trapezoid(np.trapezoid(post * lg, v, axis=1), l) / z
-    e_l2 = np.trapezoid(np.trapezoid(post * lg**2, v, axis=1), l) / z
-    return float(e_v), float(e_l), float(e_l2 - e_l**2)

@@ -55,7 +55,6 @@ class ObjectRecord:
     class_id: int
     stationarity: int
     position: np.ndarray  # (3,) running centroid of integrated points
-    heading: float
     consistency: GaussianBetaState
     tsdf: VoxelGrid3D
     n_points: int = 0
@@ -282,7 +281,6 @@ def spawn_object(
         class_id=obs.class_id,
         stationarity=obs.stationarity,
         position=obs.centroid.copy(),
-        heading=0.0,
         consistency=initial_state(obs.stationarity, library.consistency_params),
         tsdf=grid,
         n_points=0,

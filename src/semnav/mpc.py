@@ -22,9 +22,6 @@ from .world import ControlInput
 MODE_CBF = "cbf"
 MODE_CLASSIC = "classic"
 
-FALLBACK_HOLD = "hold"
-FALLBACK_BRAKE = "brake"
-
 
 @dataclass(frozen=True)
 class ControllerParams:
@@ -37,7 +34,6 @@ class ControllerParams:
     v_max: float = 0.5
     omega_max: float = 1.0
     rho_slack: float = 1.0e4
-    workspace: tuple[float, float, float, float] = (-10.0, -10.0, 10.0, 10.0)  # xmin, ymin, xmax, ymax
     classic_epsilon: float = 1.0e-3
 
     def __post_init__(self):
@@ -120,8 +116,12 @@ def build_qp(
     field_: CbfField,
     goal: np.ndarray,
     mode: str = MODE_CBF,
+    *,
+    workspace: tuple[float, float, float, float],
 ) -> QpProblem:
     """Condensed QP in the input deviations du (3T) and, in CBF mode, the slacks (T).
+
+    ``workspace`` (xmin, ymin, xmax, ymax) bounds x and y of every predicted state.
 
     Single-integrator dynamics make every state deviation an affine function of
     the inputs, dx = c + S du: c is the initial-state error plus the cumulative
@@ -167,7 +167,7 @@ def build_qp(
 
     # input box, then workspace box on x and y of every predicted state
     bounds = np.tile(params.input_bounds, T)
-    xmin, ymin, xmax, ymax = params.workspace
+    xmin, ymin, xmax, ymax = workspace
     S_xy = S.reshape(T + 1, 3, n_u)[:, :2].reshape(-1, n_u)
     pos = (op_s[:, :2] + c[:, :2]).ravel()
     lo = np.tile([xmin, ymin], T + 1)
@@ -231,22 +231,24 @@ def mpc_step(
     field_: CbfField,
     goal: np.ndarray,
     mode: str = MODE_CBF,
-    degraded_fallback: str = FALLBACK_HOLD,
+    *,
+    workspace: tuple[float, float, float, float],
 ) -> tuple[ControlInput, PredictedTrajectory]:
     """Solve one receding-horizon step and return the first input.
 
     A degraded solve (iteration cap, typically an infeasible hard-constrained
-    program) falls back to the previous applied input clipped to the input
-    box, or to braking, and re-bootstraps the operating trajectory.
+    program) brakes in classic mode and, in CBF mode, repeats the previous
+    applied input clipped to the input box; either way the operating
+    trajectory is re-bootstrapped.
     """
     x_t = np.asarray(x_t, dtype=float)
     if prev_traj is None:
         prev_traj = hold_trajectory(x_t, params.horizon)
 
-    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, mode))
+    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, mode, workspace=workspace))
 
     if sol.degraded:
-        if degraded_fallback == FALLBACK_BRAKE:
+        if mode == MODE_CLASSIC:
             u = np.zeros(3)
         else:
             u = np.clip(prev_traj.inputs[0], -params.input_bounds, params.input_bounds)

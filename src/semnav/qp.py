@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+TOL = 1e-8  # residual target of the iteration
+MAX_ITER = 60
+ACCEPT_TOL = 1e-6  # residual bound under which a stalled or capped iterate still counts as optimal
+
 
 @dataclass
 class QpProblem:
@@ -74,12 +78,12 @@ def _objective(qp: QpProblem, x: np.ndarray) -> float:
     return float(0.5 * x @ qp.H @ x + qp.g @ x + qp.cost_offset)
 
 
-def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: float = 1e-6) -> QpSolution:
+def solve_qp(qp: QpProblem) -> QpSolution:
     """Mehrotra-style predictor-corrector interior point for dense convex QPs.
 
     Iterates until stationarity, primal feasibility and complementarity all
-    fall below ``tol``. On stall or iteration cap the best iterate is
-    returned; it still counts as optimal if its residuals meet ``accept_tol``
+    fall below ``TOL``. On stall or iteration cap the best iterate is
+    returned; it still counts as optimal if its residuals meet ``ACCEPT_TOL``
     (the solution contract), otherwise it is flagged degraded, which is the
     expected outcome for genuinely infeasible problems.
     """
@@ -88,7 +92,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: f
     if mi == 0:
         raise ValueError("solve_qp needs at least one inequality row")
     # large cost scales (e.g. slack penalties) set the numeric floor of the residuals
-    tol = max(tol, 1e-12 * float(np.max(np.abs(qp.g), initial=1.0)))
+    tol = max(TOL, 1e-12 * float(np.max(np.abs(qp.g), initial=1.0)))
     H, g, G, h = qp.H, qp.g, qp.G_in, qp.h_in
 
     # initial point: relaxed KKT solve (identity barrier, z = G x - h), then shift s, z positive
@@ -104,7 +108,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: f
     best_err = np.inf
     stalled = 0
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         gx = G @ x
         r_d = H @ x + g + G.T @ z
         r_i = gx + s - h
@@ -162,7 +166,7 @@ def solve_qp(qp: QpProblem, tol: float = 1e-8, max_iter: int = 60, accept_tol: f
 
     x, z = best if best is not None else (x, z)
     res = kkt_residuals(qp, x, z)
-    status = "optimal" if max(res.values()) <= accept_tol else "max_iter"
+    status = "optimal" if max(res.values()) <= ACCEPT_TOL else "max_iter"
     return QpSolution(x=x, z=z, status=status, objective=_objective(qp, x), iterations=iters, residuals=res)
 
 

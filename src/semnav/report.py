@@ -16,6 +16,9 @@ from .barrier import CbfField
 from .geometry import rot2d
 from .runner import Metrics, RunRecord, compute_metrics
 
+SVG_SCALE = 80.0  # pixels per metre
+SVG_MARGIN = 10.0  # pixels
+
 
 def trajectory_csv_lines(record: RunRecord) -> list[str]:
     obj_ids = sorted({oid for row in record.rows for oid in row.object_ev})
@@ -105,18 +108,17 @@ def marching_squares(field: CbfField, level: float) -> list[tuple[tuple[float, f
     return segments
 
 
-def _svg_coords(x: float, y: float, workspace, scale: float, margin: float) -> tuple[float, float]:
+def _svg_coords(x: float, y: float, workspace) -> tuple[float, float]:
     xmin, ymin, _, ymax = workspace
-    return margin + (x - xmin) * scale, margin + (ymax - y) * scale
+    return SVG_MARGIN + (x - xmin) * SVG_SCALE, SVG_MARGIN + (ymax - y) * SVG_SCALE
 
 
-def write_run_svg(record: RunRecord, path: str | Path, scale: float = 80.0) -> None:
+def write_run_svg(record: RunRecord, path: str | Path) -> None:
     """Render footprints, barrier contours, and the trajectory to an SVG file."""
     scenario = record.scenario
     workspace = scenario.workspace
-    margin = 10.0
-    width = (workspace[2] - workspace[0]) * scale + 2 * margin
-    height = (workspace[3] - workspace[1]) * scale + 2 * margin
+    width = (workspace[2] - workspace[0]) * SVG_SCALE + 2 * SVG_MARGIN
+    height = (workspace[3] - workspace[1]) * SVG_SCALE + 2 * SVG_MARGIN
 
     svg = ET.Element(
         "svg",
@@ -128,7 +130,7 @@ def write_run_svg(record: RunRecord, path: str | Path, scale: float = 80.0) -> N
     ET.SubElement(svg, "rect", x="0", y="0", width=f"{width:.0f}", height=f"{height:.0f}", fill="white")
 
     def pt(x, y):
-        px, py = _svg_coords(x, y, workspace, scale, margin)
+        px, py = _svg_coords(x, y, workspace)
         return f"{px:.2f},{py:.2f}"
 
     # object footprints at their final simulated pose
@@ -163,7 +165,7 @@ def write_run_svg(record: RunRecord, path: str | Path, scale: float = 80.0) -> N
         ET.SubElement(svg, "polyline", points=" ".join(pts), fill="none", stroke="#1864ab")
 
     for pose, color in ((scenario.start, "#2b8a3e"), (scenario.goal, "#c92a2a")):
-        px, py = _svg_coords(pose[0], pose[1], workspace, scale, margin)
+        px, py = _svg_coords(pose[0], pose[1], workspace)
         ET.SubElement(svg, "circle", cx=f"{px:.2f}", cy=f"{py:.2f}", r="4", fill=color)
 
     ET.ElementTree(svg).write(path, encoding="utf-8", xml_declaration=True)

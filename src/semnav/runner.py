@@ -34,14 +34,7 @@ from .mapping import (
     segment_observations,
     spawn_object,
 )
-from .mpc import (
-    FALLBACK_BRAKE,
-    FALLBACK_HOLD,
-    MODE_CBF,
-    MODE_CLASSIC,
-    hold_trajectory,
-    mpc_step,
-)
+from .mpc import MODE_CBF, MODE_CLASSIC, hold_trajectory, mpc_step
 from .world import (
     ControlInput,
     RobotState,
@@ -121,7 +114,7 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     )
 
 
-def _build_field(scenario: sc.Scenario, library: ObjectLibrary, t_now: float):
+def _build_field(scenario: sc.Scenario, library: ObjectLibrary):
     global_map = fuse_global_tsdf(library)
     m25, owner = project_2p5d(global_map, scenario.cbf.theta_z)
     if scenario.mode == sc.MODE_SEMANTIC:
@@ -131,7 +124,7 @@ def _build_field(scenario: sc.Scenario, library: ObjectLibrary, t_now: float):
         edf = build_semantic_edf(boundary, scenario.cbf, m25)
     else:
         edf = build_plain_edf(m25, scenario.cbf.theta_zero, scenario.cbf)
-    return build_cbf_field(edf, scenario.cbf, built_at=t_now), global_map
+    return build_cbf_field(edf, scenario.cbf), global_map
 
 
 def _in_collision(pose: RobotState, world) -> bool:
@@ -152,9 +145,8 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         workspace=scenario.workspace,
         height=scenario.cbf.theta_z,
     )
-    ctrl = scenario.controller_with_workspace()
+    ctrl = scenario.controller
     mode = MODE_CLASSIC if scenario.mode == sc.MODE_CLASSIC else MODE_CBF
-    fallback = FALLBACK_BRAKE if scenario.mode == sc.MODE_CLASSIC else FALLBACK_HOLD
     gate = 1.5 * scenario.consistency.sigma_m  # discrepancy gate for map integration
 
     rng = np.random.default_rng(scenario.seed)
@@ -208,7 +200,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 remove_object(library, rec.id)
                 record.removed_objects.append((t_now, rec.id))
 
-        cbf_field, global_map = _build_field(scenario, library, t_now)
+        cbf_field, global_map = _build_field(scenario, library)
         if tick in scenario.snapshot_ticks:
             record.field_snapshots[tick] = cbf_field
         record.final_field = cbf_field
@@ -216,7 +208,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
 
         solve_start = time.perf_counter()
         u, prev_traj = mpc_step(
-            ctrl, est.as_array(), prev_traj, cbf_field, goal, mode=mode, degraded_fallback=fallback
+            ctrl, est.as_array(), prev_traj, cbf_field, goal, mode=mode, workspace=scenario.workspace
         )
         solve_time = time.perf_counter() - solve_start
 

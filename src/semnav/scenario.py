@@ -63,14 +63,6 @@ class Scenario:
         if len(ids) != len(set(ids)):
             raise ScenarioError("objects: duplicate object ids")
 
-    def controller_with_workspace(self) -> ControllerParams:
-        """Controller parameters with the state box tied to the workspace."""
-        if self.controller.workspace == self.workspace:
-            return self.controller
-        from dataclasses import replace
-
-        return replace(self.controller, workspace=self.workspace)
-
 
 def _expect_keys(obj: dict, allowed: set[str], path: str) -> None:
     unknown = set(obj) - allowed
@@ -175,17 +167,17 @@ _TOP_KEYS = {
 }
 
 
-def _parse_section(data: dict, key: str, cls, exclude=()):
+def _parse_section(data: dict, key: str, cls):
     """Build a parameter dataclass from a JSON object, each value shaped like the field's default.
 
-    The keys are the dataclass fields not in ``exclude``. An int default takes
-    an integer, a tuple default a list of as many finite numbers, any other
-    default one finite number.
+    The keys are the dataclass fields. An int default takes an integer, a
+    tuple default a list of as many finite numbers, any other default one
+    finite number.
     """
     sec = data.get(key, {})
     if not isinstance(sec, dict):
         raise ScenarioError(f"{key}: expected an object")
-    defaults = {f.name: f.default for f in fields(cls) if f.name not in exclude}
+    defaults = {f.name: f.default for f in fields(cls)}
     _expect_keys(sec, set(defaults), key)
     kwargs = {}
     for k, v in sec.items():
@@ -229,10 +221,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(events_raw, list):
         raise ScenarioError("events: expected a list")
 
-    mode = data.get("mode", MODE_SEMANTIC)
-    if mode not in MODES:
-        raise ScenarioError(f"mode: must be one of {MODES}")
-
     override = data.get("consistency_override")
     if override is not None:
         override = _get_num(data, "consistency_override", "root")
@@ -248,7 +236,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     camera = _parse_section(data, "camera", DepthCamera)
     map_params = _parse_section(data, "map", MapParams)
     cbf = _parse_section(data, "cbf", CbfParams)
-    controller = _parse_section(data, "controller", ControllerParams, exclude=("workspace",))
+    controller = _parse_section(data, "controller", ControllerParams)
     consistency = _parse_section(data, "consistency", ConsistencyParams)
 
     try:
@@ -259,7 +247,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             goal=_get_vec(robot, "goal", 3, "robot"),
             objects=[_parse_object(o, i) for i, o in enumerate(objects_raw)],
             events=[_parse_event(e, i) for i, e in enumerate(events_raw)],
-            mode=mode,
+            mode=data.get("mode", MODE_SEMANTIC),
             duration=_get_num(data, "duration", "root", default=30.0, minimum=1e-9),
             seed=seed,
             goal_tolerance=_get_num(data, "goal_tolerance", "root", default=0.1, minimum=0.0),
@@ -313,7 +301,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "camera": asdict(sc.camera),
         "map": asdict(sc.map_params),
         "cbf": asdict(sc.cbf),
-        "controller": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(sc.controller).items() if k != "workspace"},
+        "controller": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(sc.controller).items()},
         "consistency": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(sc.consistency).items()},
         "consistency_override": sc.consistency_override,
         "snapshot_ticks": list(sc.snapshot_ticks),

@@ -16,7 +16,6 @@ from semnav.barrier import CbfParams, build_cbf_field, build_semantic_edf
 from semnav.consistency import (
     ConsistencyParams,
     GaussianBetaState,
-    posterior_moments_by_quadrature,
     update_consistency,
 )
 from semnav.geometry import point_box_distance
@@ -28,6 +27,7 @@ from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, load_
 
 from conftest import SCENARIO_DIR
 from test_barrier import boundary_from_cells, brute_force_edf
+from test_consistency import posterior_moments_by_quadrature
 from test_qp import enumerate_box_qp, box_qp
 
 PARAMS = CbfParams()

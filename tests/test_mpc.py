@@ -15,6 +15,7 @@ from semnav.mpc import (
 from semnav.qp import solve_qp
 
 CBF = CbfParams()
+WORKSPACE = (-10.0, -10.0, 10.0, 10.0)  # xmin, ymin, xmax, ymax; far from every test's path
 RES = 0.05
 
 
@@ -71,7 +72,7 @@ class TestBuildQp:
     def test_stationary_at_goal(self):
         params = ControllerParams()
         goal = np.array([1.0, 2.0, 0.5])
-        qp = build_qp(params, goal, hold_trajectory(goal, params.horizon), uniform_field(), goal)
+        qp = build_qp(params, goal, hold_trajectory(goal, params.horizon), uniform_field(), goal, workspace=WORKSPACE)
         sol = solve_qp(qp)
         assert sol.objective == pytest.approx(0.0, abs=1e-8)
         np.testing.assert_allclose(sol.x, 0.0, atol=1e-6)
@@ -83,7 +84,7 @@ class TestBuildQp:
         T, dt = params.horizon, params.dt
         x0 = np.zeros(3)
         goal = np.array([1.0, 0.0, 0.0])
-        qp = build_qp(params, x0, hold_trajectory(x0, T), uniform_field(), goal)
+        qp = build_qp(params, x0, hold_trajectory(x0, T), uniform_field(), goal, workspace=WORKSPACE)
         assert qp.g.shape[0] == 4 * T and qp.b_eq.shape[0] == 0
         sol = solve_qp(qp)
 
@@ -113,9 +114,10 @@ class TestBuildQp:
         x0 = np.zeros(3)
         goal = np.array([0.3, 0.1, 0.0])
         field = uniform_field()
-        with_rows = solve_qp(build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CBF))
+        with_rows = solve_qp(build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CBF,
+                                      workspace=WORKSPACE))
         n_u = 3 * params.horizon
-        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CLASSIC)
+        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CLASSIC, workspace=WORKSPACE)
         assert qp.g.shape[0] == n_u
         without = solve_qp(qp)
         np.testing.assert_allclose(with_rows.x[:n_u], without.x, atol=1e-6)
@@ -123,7 +125,7 @@ class TestBuildQp:
     def test_condensed_shape(self):
         params = ControllerParams()
         x0 = np.zeros(3)
-        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.ones(3))
+        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.ones(3), workspace=WORKSPACE)
         assert (qp.g.shape[0], qp.b_eq.shape[0], qp.h_in.shape[0]) == (40, 0, 124)
 
 
@@ -131,13 +133,13 @@ class TestMpcStep:
     def test_zero_input_at_goal(self):
         params = ControllerParams()
         goal = np.array([1.0, -1.0, 0.2])
-        u, traj = mpc_step(params, goal, None, uniform_field(), goal)
+        u, traj = mpc_step(params, goal, None, uniform_field(), goal, workspace=WORKSPACE)
         assert abs(u.vx) <= 1e-6 and abs(u.vy) <= 1e-6 and abs(u.omega) <= 1e-6
         assert traj.status == "ok"
 
     def test_drives_straight_at_goal_ahead(self):
         params = ControllerParams()
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]))
+        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]), workspace=WORKSPACE)
         assert u.vx > 0.4
         assert abs(u.vy) <= 1e-6
 
@@ -148,14 +150,14 @@ class TestMpcStep:
         for _ in range(10):
             x0 = rng.uniform(-2, 2, size=3)
             goal = rng.uniform(-3, 3, size=3)
-            u, traj = mpc_step(params, x0, None, field, goal)
+            u, traj = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
             assert abs(u.vx) <= params.v_max + 1e-9
             assert abs(u.vy) <= params.v_max + 1e-9
             assert abs(u.omega) <= params.omega_max + 1e-9
 
     def test_prediction_satisfies_exact_dynamics(self):
         params = ControllerParams()
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 1.0, 0.4]))
+        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 1.0, 0.4]), workspace=WORKSPACE)
         for k in range(params.horizon):
             np.testing.assert_allclose(
                 traj.states[k + 1], traj.states[k] + params.dt * traj.inputs[k], atol=1e-9
@@ -163,7 +165,7 @@ class TestMpcStep:
 
     def test_zero_slack_when_feasible(self):
         params = ControllerParams()  # default slack penalty
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]))
+        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]), workspace=WORKSPACE)
         assert traj.max_slack <= 1e-6
 
     def test_linearized_decay_holds_on_solution(self):
@@ -176,7 +178,7 @@ class TestMpcStep:
         traj = hold_trajectory(x0, params.horizon)
         for _ in range(8):
             op_s, op_u = traj.states.copy(), traj.inputs.copy()
-            u, traj = mpc_step(params, x0, traj, field, goal)
+            u, traj = mpc_step(params, x0, traj, field, goal, workspace=WORKSPACE)
             assert traj.status == "ok"
             T = params.horizon
             C, D, c = linearize_cbf_constraint(field, op_s[:T], op_u, params.dt, params.gamma_bar)
@@ -193,29 +195,46 @@ class TestMpcStep:
         speeds = {}
         for gamma in (0.01, 1.0):
             params = ControllerParams(gamma_bar=gamma)
-            u, traj = mpc_step(params, x0, None, field, goal)
+            u, traj = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
             speeds[gamma] = -u.vx  # approach component toward decreasing h
             h0 = field.query_h(x0[0], x0[1])
             h1 = field.query_h(*traj.states[1][:2])
             assert h1 - h0 >= -gamma * h0 - 1e-6
         assert speeds[0.01] < speeds[1.0]
 
+    @pytest.mark.parametrize("mode", [MODE_CBF, MODE_CLASSIC])
+    def test_workspace_rows_bound_prediction(self, mode):
+        # the goal lies beyond the workspace edge at x = 2: every predicted state stops at the edge
+        params = ControllerParams()
+        x0 = np.array([1.5, 0.0, 0.0])
+        u, traj = mpc_step(params, x0, None, uniform_field(), np.array([5.0, 0.0, 0.0]), mode,
+                           workspace=(-2.0, -2.0, 2.0, 2.0))
+        assert traj.status == "ok"
+        assert traj.states[:, 0].max() <= 2.0 + 1e-6
+
     def test_degraded_fallback_modes(self):
-        # an impossible hard-constrained problem: current state deep in the
-        # forbidden set with classic rows
+        # classic: an impossible hard-constrained problem, the current state deep
+        # in the forbidden set with classic rows, brakes
         n = int(20.0 / RES)
         xs = (np.arange(n) + 0.5) * RES
         vals = np.tile(xs[:, None] - 5.0, (1, n))  # h = x - 5
         field = CbfField(grid=Grid2D(origin=np.array([0.0, 0.0]), resolution=RES, values=vals), params=CBF)
-        params = ControllerParams(workspace=(-20, -20, 20, 20), classic_epsilon=1e-3)
+        params = ControllerParams(classic_epsilon=1e-3)
         x0 = np.array([3.0, 5.0, 0.0])  # h = -2 at the current state
         prev = hold_trajectory(x0, params.horizon)
         prev.inputs[0] = np.array([0.4, 0.0, 0.0])
-        u_hold, traj = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), mode=MODE_CLASSIC,
-                                degraded_fallback="hold")
+        u_brake, traj = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), MODE_CLASSIC,
+                                 workspace=(-20, -20, 20, 20))
         assert traj.status == "degraded"
-        assert (u_hold.vx, u_hold.vy, u_hold.omega) == pytest.approx((0.4, 0.0, 0.0))
-        u_brake, traj2 = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), mode=MODE_CLASSIC,
-                                  degraded_fallback="brake")
-        assert traj2.status == "degraded"
         assert (u_brake.vx, u_brake.vy, u_brake.omega) == (0.0, 0.0, 0.0)
+
+        # CBF: a current state outside the workspace makes the k = 0 workspace row
+        # infeasible; the previous input is held, clipped to the input box
+        params = ControllerParams()
+        x0 = np.array([3.0, 0.0, 0.0])
+        prev = hold_trajectory(x0, params.horizon)
+        prev.inputs[0] = np.array([0.8, 0.0, 0.0])
+        u_hold, traj = mpc_step(params, x0, prev, uniform_field(), np.array([1.0, 0.0, 0.0]), MODE_CBF,
+                                workspace=(-2.0, -2.0, 2.0, 2.0))
+        assert traj.status == "degraded"
+        assert (u_hold.vx, u_hold.vy, u_hold.omega) == (params.v_max, 0.0, 0.0)
