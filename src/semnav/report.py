@@ -15,6 +15,7 @@ import numpy as np
 from .barrier import CbfField
 from .geometry import rot2d
 from .runner import Metrics, RunRecord, compute_metrics
+from .world import apply_scene_events
 
 SVG_SCALE = 80.0  # pixels per metre
 SVG_MARGIN = 10.0  # pixels
@@ -68,44 +69,44 @@ def write_metrics(metrics: Metrics, path: str | Path) -> None:
 
 def write_field_csv(field: CbfField, path: str | Path) -> None:
     xs, ys = field.grid.cell_centers()
+    y_reprs = [repr(y) for y in ys.tolist()]
     lines = ["ix,iy,x,y,h"]
-    for ix in range(field.grid.dims[0]):
-        for iy in range(field.grid.dims[1]):
-            lines.append(f"{ix},{iy},{float(xs[ix])!r},{float(ys[iy])!r},{float(field.grid.values[ix, iy])!r}")
+    for ix, (x, row) in enumerate(zip(xs.tolist(), field.grid.values.tolist())):
+        x_repr = repr(x)
+        lines.extend(f"{ix},{iy},{x_repr},{y_repr},{h!r}" for iy, (y_repr, h) in enumerate(zip(y_reprs, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Corner a = 0..3 of the lattice square at (i, j) is (i + _DI[a], j + _DJ[a]);
+# edge a runs from corner a to corner (a + 1) % 4.
+_DI = np.array([0, 1, 1, 0])
+_DJ = np.array([0, 0, 1, 1])
 
 
 def marching_squares(field: CbfField, level: float) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Level-set segments of the bilinear field, one or two per crossing cell.
 
     Works on the cell-center lattice; each lattice square contributes
-    linearly interpolated edge crossings joined into segments.
+    linearly interpolated edge crossings joined into segments. A square has
+    0, 2 or 4 crossing edges, so with the crossings taken in (i, j, edge)
+    order each consecutive pair is one segment; a saddle pairs its edges in
+    order.
     """
     values = field.grid.values - level
     xs, ys = field.grid.cell_centers()
     nx, ny = values.shape
-    segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            corners = (
-                (values[i, j], xs[i], ys[j]),
-                (values[i + 1, j], xs[i + 1], ys[j]),
-                (values[i + 1, j + 1], xs[i + 1], ys[j + 1]),
-                (values[i, j + 1], xs[i], ys[j + 1]),
-            )
-            crossings = []
-            for a in range(4):
-                v0, x0, y0 = corners[a]
-                v1, x1, y1 = corners[(a + 1) % 4]
-                if (v0 < 0.0) != (v1 < 0.0):
-                    t = v0 / (v0 - v1)
-                    crossings.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:  # saddle: pair edge crossings in order
-                segments.append((crossings[0], crossings[1]))
-                segments.append((crossings[2], crossings[3]))
-    return segments
+    neg = values < 0.0
+    corners = [neg[di : di + nx - 1, dj : dj + ny - 1] for di, dj in zip(_DI, _DJ)]
+    crossing = np.stack([corners[a] != corners[(a + 1) % 4] for a in range(4)], axis=-1)
+    i, j, a = np.nonzero(crossing)
+    b = (a + 1) % 4
+    i0, j0, i1, j1 = i + _DI[a], j + _DJ[a], i + _DI[b], j + _DJ[b]
+    v0, v1 = values[i0, j0], values[i1, j1]
+    t = v0 / (v0 - v1)
+    px = xs[i0] + t * (xs[i1] - xs[i0])
+    py = ys[j0] + t * (ys[j1] - ys[j0])
+    quads = np.stack([px, py], axis=-1).reshape(-1, 4).tolist()
+    return [((x0, y0), (x1, y1)) for x0, y0, x1, y1 in quads]
 
 
 def _svg_coords(x: float, y: float, workspace) -> tuple[float, float]:
@@ -129,15 +130,13 @@ def write_run_svg(record: RunRecord, path: str | Path) -> None:
     )
     ET.SubElement(svg, "rect", x="0", y="0", width=f"{width:.0f}", height=f"{height:.0f}", fill="white")
 
-    def pt(x, y):
+    def pt(x, y, sep=","):
         px, py = _svg_coords(x, y, workspace)
-        return f"{px:.2f},{py:.2f}"
+        return f"{px:.2f}{sep}{py:.2f}"
 
     # object footprints at their final simulated pose
     world = list(scenario.objects)
     applied: set[int] = set()
-    from .world import apply_scene_events
-
     world = apply_scene_events(world, scenario.events, applied, float("inf"))
     for obj in world:
         rot = rot2d(obj.yaw)
@@ -153,7 +152,7 @@ def write_run_svg(record: RunRecord, path: str | Path) -> None:
         for level, color in ((0.0, "#e64980"), (cutoff - 1e-6, "#f59f00")):
             parts = []
             for (x0, y0), (x1, y1) in marching_squares(record.final_field, level):
-                parts.append(f"M {pt(x0, y0).replace(',', ' ')} L {pt(x1, y1).replace(',', ' ')}")
+                parts.append(f"M {pt(x0, y0, ' ')} L {pt(x1, y1, ' ')}")
             if parts:
                 ET.SubElement(svg, "path", d=" ".join(parts), stroke=color, fill="none")
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.consistency import (
     ConsistencyParams,
@@ -72,6 +74,15 @@ class TestBetaFromMoments:
         a, b = beta_from_moments(0.37, 0.041)
         assert a / (a + b) == pytest.approx(0.37, abs=1e-12)
         assert a * b / ((a + b) ** 2 * (a + b + 1)) == pytest.approx(0.041, abs=1e-12)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(mean=st.floats(1e-6, 1.0 - 1e-6), frac=st.floats(1e-9, 1.0 - 1e-9))
+    def test_moments_round_trip_property(self, mean, frac):
+        var = frac * mean * (1.0 - mean)  # every admissible variance, as a fraction of its limit
+        a, b = beta_from_moments(mean, var)
+        assert a > 0.0 and b > 0.0
+        assert a / (a + b) == pytest.approx(mean, rel=1e-9)
+        assert a * b / ((a + b) ** 2 * (a + b + 1.0)) == pytest.approx(var, rel=1e-9)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav.qp import QpProblem, kkt_residuals, solve_qp
+from semnav.qp import TOL, QpProblem, kkt_residuals, solve_qp
 
 
 def box_qp(H, g, lo, hi):
@@ -88,6 +88,36 @@ class TestSolveQp:
         recomputed = kkt_residuals(qp, sol.x, sol.z)
         assert sol.residuals == recomputed
         assert all(v <= 1e-6 for v in recomputed.values())
+
+    def test_nearly_degenerate_box_qp_meets_residual_contract(self):
+        """The solution contract is KKT residuals and objective, not x.
+
+        At the optimum x[2] is free (gradient 0) and 8.3e-4 below its upper
+        bound, whose multiplier is 0. The solver stops once complementarity is
+        under tolerance while still holding a multiplier near 1.8e-6 on that
+        bound, so x[2] sits about 1.1e-6 from the enumerated optimum: an x
+        comparison at 1e-6 fails here while every residual and the objective
+        are within tolerance. Found by a search over random box QPs.
+        """
+        H = np.array([
+            [6.329314114412834, -0.44193571390490033, 1.6069122094653066, 2.3969882049154316, -0.11692347450725102],
+            [-0.44193571390490033, 7.150032644469877, -0.7001611958833939, 1.6776737332773437, -2.558342558642722],
+            [1.6069122094653066, -0.7001611958833939, 1.638948686399412, 1.005947388214407, -0.08552737236454087],
+            [2.3969882049154316, 1.6776737332773437, 1.005947388214407, 3.7046747848551917, -0.416441780183876],
+            [-0.11692347450725102, -2.558342558642722, -0.08552737236454087, -0.416441780183876, 1.561127983102875],
+        ])
+        g = np.array([31.8430373530683, 35.189213106947655, -0.9591229538857431, 23.76096606891608, -14.348409782315148])
+        lo = np.array([-1.0294205445477593, -1.1754664236435504, -0.4258059602546565, -0.6210186955445437,
+                       -1.6060396041213407])
+        hi = np.array([1.7884312576066106, 1.7402595861146917, 1.577547084245621, 0.9839566552211818,
+                       1.977723635438193])
+        qp = box_qp(H, g, lo, hi)
+        sol = solve_qp(qp)
+        expected = enumerate_box_qp(H, g, lo, hi)
+        assert sol.status == "optimal"
+        tol = max(TOL, 1e-12 * float(np.max(np.abs(g))))  # the scaling solve_qp applies
+        assert max(kkt_residuals(qp, sol.x, sol.z).values()) <= tol
+        assert sol.objective == pytest.approx(0.5 * expected @ H @ expected + g @ expected, abs=1e-9)
 
     def test_rejects_asymmetric_hessian(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
 from semnav.grids import Grid2D
@@ -56,7 +58,62 @@ class TestTrajectoryCsv:
         assert row[8] in ("ok", "degraded", "hold")
 
 
+def marching_squares_oracle(field: CbfField, level: float):
+    """Per-square marching squares: the reference the vectorized version must equal."""
+    values = field.grid.values - level
+    xs, ys = field.grid.cell_centers()
+    nx, ny = values.shape
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            corners = (
+                (values[i, j], xs[i], ys[j]),
+                (values[i + 1, j], xs[i + 1], ys[j]),
+                (values[i + 1, j + 1], xs[i + 1], ys[j + 1]),
+                (values[i, j + 1], xs[i], ys[j + 1]),
+            )
+            crossings = []
+            for a in range(4):
+                v0, x0, y0 = corners[a]
+                v1, x1, y1 = corners[(a + 1) % 4]
+                if (v0 < 0.0) != (v1 < 0.0):
+                    t = v0 / (v0 - v1)
+                    crossings.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:  # saddle: pair edge crossings in order
+                segments.append((crossings[0], crossings[1]))
+                segments.append((crossings[2], crossings[3]))
+    return segments
+
+
+# special values give saddles and exact zeros at both SVG levels (0 and cutoff - 1e-6)
+FIELD_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.3, 1.8, 1.8 - 1e-6]),
+    st.floats(-2.0, 3.0, allow_nan=False),
+)
+
+
+@st.composite
+def lattice_fields(draw):
+    nx = draw(st.integers(2, 12))
+    ny = draw(st.integers(2, 12).filter(lambda n: n != nx))
+    origin = np.array([draw(st.floats(-5.0, 5.0).filter(bool)), draw(st.floats(-5.0, 5.0).filter(bool))])
+    resolution = draw(st.sampled_from([0.05, 0.1, 0.37]))
+    values = np.array(draw(st.lists(FIELD_VALUES, min_size=nx * ny, max_size=nx * ny))).reshape(nx, ny)
+    return CbfField(grid=Grid2D(origin=origin, resolution=resolution, values=values), params=CbfParams())
+
+
 class TestMarchingSquares:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(field=lattice_fields(), level=st.sampled_from([0.0, 1.8 - 1e-6]))
+    def test_matches_per_square_oracle(self, field, level):
+        got = marching_squares(field, level)
+        want = marching_squares_oracle(field, level)
+        assert got == want
+        # bitwise too: == cannot tell -0.0 from 0.0
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
     def test_circle_radius_recovery(self):
         res = 0.05
         n = 128
@@ -100,6 +157,27 @@ class TestFieldCsv:
         ix, iy, x, y, h = lines[1].split(",")
         assert (int(ix), int(iy)) == (0, 0)
         assert float(x) == pytest.approx(0.025)
+
+    def test_bytes_on_non_square_grid(self, tmp_path):
+        # 5 x 3 at a non-zero origin: an ix/iy transposition changes the rows
+        vals = np.array([
+            [-0.0, 5e-324, 1e16],
+            [1.8, 0.1, -2.5],
+            [1e16, -0.0, 0.7],
+            [5e-324, 1.8, 3.0],
+            [0.0, -1e-7, 1.8],
+        ])
+        origin, res = (-1.3, 0.45), 0.1
+        field = CbfField(grid=Grid2D(origin=np.array(origin), resolution=res, values=vals), params=CbfParams())
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)
+        lines = ["ix,iy,x,y,h"]
+        for ix in range(5):
+            for iy in range(3):
+                x = origin[0] + (ix + 0.5) * res
+                y = origin[1] + (iy + 0.5) * res
+                lines.append(f"{ix},{iy},{x!r},{y!r},{float(vals[ix, iy])!r}")
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_emit_outputs_writes_artifact_set(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semnav.geometry import ray_box_intersect, wrap_angle
 from semnav.world import (
@@ -197,3 +199,16 @@ def test_wrap_angle_against_reference():
     for a in np.linspace(-25, 25, 2001):
         assert wrap_angle(float(a)) == pytest.approx(reference_wrap(float(a)), abs=1e-12)
         assert -math.pi < wrap_angle(float(a)) <= math.pi
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(theta=st.floats(-1e6, 1e6))
+@example(theta=-math.pi)
+@example(theta=math.pi)
+@example(theta=3 * math.pi)
+@example(theta=-0.0)
+def test_wrap_angle_range_and_congruence(theta):
+    w = wrap_angle(theta)
+    assert -math.pi < w <= math.pi
+    # theta - w is a whole number of turns, up to a few ulps of |theta| <= 1e6 (ulp 1.2e-10)
+    assert abs(math.remainder(theta - w, 2.0 * math.pi)) <= 1e-9
