@@ -164,26 +164,37 @@ def extract_labeled_boundary(
     )
 
 
-def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D) -> Grid2D:
+def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D, cache=None) -> Grid2D:
     """Object-aware scaled distance field over the workspace grid.
 
     Per object: exact Euclidean distance to that object's boundary cells,
     scaled by lambda_c * E[v], minus the stationarity-dependent bias; the
     field is the pointwise minimum across objects. Grouping per object is
     exact because the labels are constant within an object.
+
+    ``cache`` is a dict one run passes to every call (``None``: a fresh one).
+    It maps grid shape, resolution and an object's cell bytes to that object's
+    unscaled, read-only distances, so an object whose cells did not change
+    skips the transform; on return it holds this call's objects only.
     """
+    cache = {} if cache is None else cache
+    previous = cache.copy()
+    cache.clear()
     out = np.full(grid_spec.dims, np.inf)
-    if len(boundary) == 0:
-        return Grid2D(origin=grid_spec.origin.copy(), resolution=grid_spec.resolution, values=out)
     res = grid_spec.resolution
     for oid in np.unique(boundary.owner_ids):
         sel = boundary.owner_ids == oid
         ev = boundary.consistency[sel][0]
         bias = params.bias_for(int(boundary.stationarity[sel][0]))
-        mask = np.ones(grid_spec.dims, dtype=bool)
         cells = boundary.cells[sel]
-        mask[cells[:, 0], cells[:, 1]] = False
-        dist = ndimage.distance_transform_edt(mask, sampling=res)
+        key = (grid_spec.dims, res, cells.tobytes())
+        dist = previous.get(key)
+        if dist is None:
+            mask = np.ones(grid_spec.dims, dtype=bool)
+            mask[cells[:, 0], cells[:, 1]] = False
+            dist = ndimage.distance_transform_edt(mask, sampling=res)
+            dist.flags.writeable = False
+        cache[key] = dist
         np.minimum(out, params.lambda_c * ev * dist - bias, out=out)
     return Grid2D(origin=grid_spec.origin.copy(), resolution=res, values=out)
 

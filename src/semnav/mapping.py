@@ -234,16 +234,16 @@ def integrate_observation(
     flat = flat[keep]
     sdf = sdf[keep]
 
-    sums = np.zeros(int(np.prod(grid.dims)))
-    counts = np.zeros(int(np.prod(grid.dims)))
-    np.add.at(sums, flat, sdf)
-    np.add.at(counts, flat, 1.0)
-    touched = counts > 0
+    # touched voxels only; bincount sums in stamp order, as np.add.at does
+    touched, slot = np.unique(flat, return_inverse=True)
+    sums = np.bincount(slot, weights=sdf)
+    counts = np.bincount(slot)
 
     v = grid.values.reshape(-1)
     w = grid.weights.reshape(-1)
-    v[touched] = (v[touched] * w[touched] + sums[touched]) / (w[touched] + counts[touched])
-    w[touched] = np.minimum(w[touched] + counts[touched], params.weight_cap)
+    w_old = w[touched]
+    v[touched] = (v[touched] * w_old + sums) / (w_old + counts)
+    w[touched] = np.minimum(w_old + counts, params.weight_cap)
     grid.values = v.reshape(grid.dims)
     grid.weights = w.reshape(grid.dims)
 
@@ -299,7 +299,9 @@ def remove_object(library: ObjectLibrary, object_id: int) -> None:
 def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
     """Per-voxel minimum over object TSDFs across the workspace grid.
 
-    Voxels an object never observed contribute the truncation value. The
+    Voxels an object never observed contribute the truncation value, which
+    they already hold: object grids are spawned and grown with it as their
+    background, and integration writes only voxels it gives weight. The
     owner is the object attaining a value strictly below the background,
     lowest id winning ties (objects are visited in ascending id order).
     """
@@ -319,7 +321,7 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
             continue
         gsl = tuple(slice(lo[a] - g_lo[a], hi[a] - g_lo[a]) for a in range(3))
         osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
-        cand = np.where(rec.tsdf.weights[osl] > 0.0, rec.tsdf.values[osl], tau)
+        cand = rec.tsdf.values[osl]
         region = values[gsl]
         better = cand < region
         np.copyto(region, cand, where=better)

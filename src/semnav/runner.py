@@ -114,14 +114,14 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     )
 
 
-def _build_field(scenario: sc.Scenario, library: ObjectLibrary):
+def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
     global_map = fuse_global_tsdf(library)
     m25, owner = project_2p5d(global_map, scenario.cbf.theta_z)
     if scenario.mode == sc.MODE_SEMANTIC:
         boundary = extract_labeled_boundary(
             m25, owner, scenario.cbf.theta_zero, library, scenario.consistency_override
         )
-        edf = build_semantic_edf(boundary, scenario.cbf, m25)
+        edf = build_semantic_edf(boundary, scenario.cbf, m25, cache=edf_cache)
     else:
         edf = build_plain_edf(m25, scenario.cbf.theta_zero, scenario.cbf)
     return build_cbf_field(edf, scenario.cbf), global_map
@@ -145,6 +145,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         workspace=scenario.workspace,
         height=scenario.cbf.theta_z,
     )
+    edf_cache: dict = {}  # per-object distance transforms, carried across this run's ticks
     ctrl = scenario.controller
     mode = MODE_CLASSIC if scenario.mode == sc.MODE_CLASSIC else MODE_CBF
     gate = 1.5 * scenario.consistency.sigma_m  # discrepancy gate for map integration
@@ -200,7 +201,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 remove_object(library, rec.id)
                 record.removed_objects.append((t_now, rec.id))
 
-        cbf_field, global_map = _build_field(scenario, library)
+        cbf_field, global_map = _build_field(scenario, library, edf_cache)
         if tick in scenario.snapshot_ticks:
             record.field_snapshots[tick] = cbf_field
         record.final_field = cbf_field

@@ -2,12 +2,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from semnav.consistency import ConsistencyParams
 from semnav.mapping import MapParams, ObjectLibrary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+# every property test is reproducible and untimed; each sets only its example count
+settings.register_profile("semnav", deadline=None, derandomize=True)
+settings.load_profile("semnav")
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semnav.barrier as barrier_mod
 from semnav.barrier import (
     CbfField,
     CbfParams,
@@ -80,7 +83,7 @@ class TestProjection:
         assert m25.values[3, 3] == pytest.approx(0.01)
         assert own[3, 3] == 7
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), nz=st.integers(1, 10), below=st.integers(0, 3),
            theta_z=st.floats(0.01, 0.6))
     def test_matches_elementwise_oracle(self, seed, nz, below, theta_z):
@@ -221,6 +224,45 @@ class TestSemanticEdf:
             b = boundary_from_cells(spec, objs)
             edf = build_semantic_edf(b, PARAMS, spec)
             np.testing.assert_allclose(edf.values, brute_force_edf(b, PARAMS, spec), atol=1e-9)
+
+    def test_distance_cache_matches_cacheless_calls(self, monkeypatch):
+        # one cache through a repeat, a moved cell, a removed owner, new
+        # labels on unchanged cells and another grid shape; each call must
+        # equal a cache-less call bit for bit and transform only new cell sets
+        real_edt = barrier_mod.ndimage.distance_transform_edt
+        edt_calls = []
+
+        def counting_edt(*args, **kwargs):
+            edt_calls.append(1)
+            return real_edt(*args, **kwargs)
+
+        monkeypatch.setattr(barrier_mod, "ndimage", SimpleNamespace(distance_transform_edt=counting_edt))
+        a = [(20, 20), (21, 20), (22, 21)]
+        a_moved = [(20, 20), (21, 20), (23, 21)]
+        b = [(40, 10), (41, 11)]
+        c = [(10, 40), (11, 40), (12, 40)]
+        wide, narrow = empty_grid(), empty_grid(64, 48)
+        steps = [
+            (wide, {3: (a, 0.9, 1), 5: (b, 0.6, 0), 8: (c, 0.8, 1)}, 3),
+            (wide, {3: (a, 0.9, 1), 5: (b, 0.6, 0), 8: (c, 0.8, 1)}, 0),
+            (wide, {3: (a_moved, 0.9, 1), 5: (b, 0.6, 0), 8: (c, 0.8, 1)}, 1),
+            (wide, {3: (a_moved, 0.9, 1), 8: (c, 0.8, 1)}, 0),
+            (wide, {3: (a_moved, 0.9, 1), 8: (c, 0.35, 0)}, 0),
+            (narrow, {3: (a_moved, 0.9, 1), 8: (c, 0.35, 0)}, 2),
+        ]
+        cache = {}
+        for spec, objects, expected_edts in steps:
+            ids = list(objects)
+            boundary = boundary_from_cells(spec, list(objects.values()))
+            boundary.owner_ids = np.array(ids)[boundary.owner_ids]
+            del edt_calls[:]
+            cached = build_semantic_edf(boundary, PARAMS, spec, cache=cache)
+            transforms = len(edt_calls)
+            fresh = build_semantic_edf(boundary, PARAMS, spec)
+            assert cached.values.tobytes() == fresh.values.tobytes()
+            assert transforms == expected_edts
+            assert len(cache) == len(objects)
+            assert not any(dist.flags.writeable for dist in cache.values())
 
     def test_empty_boundary_gives_cutoff_field(self):
         spec = empty_grid()

@@ -75,7 +75,7 @@ class TestBetaFromMoments:
         assert a / (a + b) == pytest.approx(0.37, abs=1e-12)
         assert a * b / ((a + b) ** 2 * (a + b + 1)) == pytest.approx(0.041, abs=1e-12)
 
-    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @settings(max_examples=1000)
     @given(mean=st.floats(1e-6, 1.0 - 1e-6), frac=st.floats(1e-9, 1.0 - 1e-9))
     def test_moments_round_trip_property(self, mean, frac):
         var = frac * mean * (1.0 - mean)  # every admissible variance, as a fraction of its limit

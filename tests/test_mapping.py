@@ -1,13 +1,18 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semnav.consistency import ConsistencyParams, initial_state
 from semnav.grids import VoxelGrid3D
 from semnav.mapping import (
     FORBIDDEN_COST,
     MapParams,
     ObjectLibrary,
+    ObjectRecord,
     associate_observations,
     export_global_tsdf,
     fuse_global_tsdf,
@@ -19,6 +24,60 @@ from semnav.mapping import (
 from semnav.world import DepthCamera, RobotState, SemanticPointCloud, WorldObject, render_depth
 
 from conftest import make_observation
+
+
+def dense_integrate(record, obs, sensor_origin, params):
+    """Projective TSDF update accumulated on the full grid with ``np.add.at``.
+
+    The stamps are generated as ``integrate_observation`` generates them; the
+    sums and counts go into two zeroed arrays the size of the grid, and every
+    voxel with a non-zero count is updated.
+    """
+    origin = np.asarray(sensor_origin, dtype=float)
+    rays = obs.points - origin[None, :]
+    t_hit = np.linalg.norm(rays, axis=1)
+    valid = t_hit > 1e-9
+    pts, rays, t_hit = obs.points[valid], rays[valid], t_hit[valid]
+    if pts.shape[0] == 0:
+        return record
+    dirs = rays / t_hit[:, None]
+    tau, res = params.truncation, params.resolution
+    pad = 2.0 * tau + 2.0 * res
+    grid = record.tsdf.grown_to_include(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
+    n = int(np.ceil(tau / res))
+    t_samp = t_hit[:, None] + (np.arange(-n, n + 1) * res)[None, :]
+    pos = (origin[None, None, :] + t_samp[..., None] * dirs[:, None, :]).reshape(-1, 3)
+    base = np.floor((pos - grid.origin[None, :]) / grid.resolution - 0.5).astype(int)
+    corner = np.array([[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)])
+    vidx = (base[:, None, :] + corner[None, :, :]).reshape(-1, 3)
+    ray_of = np.repeat(np.repeat(np.arange(pts.shape[0]), t_samp.shape[1]), 8)
+    inside = np.all((vidx >= 0) & (vidx < np.array(grid.dims)[None, :]), axis=1)
+    ray_of, vidx = ray_of[inside], vidx[inside]
+    centers = grid.origin[None, :] + (vidx + 0.5) * grid.resolution
+    sdf = t_hit[ray_of] - np.einsum("ij,ij->i", centers - origin[None, :], dirs[ray_of])
+    in_band = np.abs(sdf) <= tau
+    ray_of, vidx, sdf = ray_of[in_band], vidx[in_band], sdf[in_band]
+    flat = np.ravel_multi_index((vidx[:, 0], vidx[:, 1], vidx[:, 2]), grid.dims)
+    _, keep = np.unique(ray_of.astype(np.int64) * int(np.prod(grid.dims)) + flat, return_index=True)
+    flat, sdf = flat[keep], sdf[keep]
+
+    sums = np.zeros(int(np.prod(grid.dims)))
+    counts = np.zeros(int(np.prod(grid.dims)))
+    np.add.at(sums, flat, sdf)
+    np.add.at(counts, flat, 1.0)
+    touched = counts > 0
+    v = grid.values.reshape(-1)
+    w = grid.weights.reshape(-1)
+    v[touched] = (v[touched] * w[touched] + sums[touched]) / (w[touched] + counts[touched])
+    w[touched] = np.minimum(w[touched] + counts[touched], params.weight_cap)
+    grid.values = v.reshape(grid.dims)
+    grid.weights = w.reshape(grid.dims)
+
+    total = record.n_points + pts.shape[0]
+    record.position = (record.position * record.n_points + pts.sum(axis=0)) / total
+    record.n_points = total
+    record.tsdf = grid
+    return record
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -179,6 +238,35 @@ class TestIntegration:
         assert np.all(np.abs(rec.tsdf.values) <= tau + 1e-12)
         assert np.all(rec.tsdf.weights <= small_library.params.weight_cap)
 
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 0.004, 0.02, 0.15]),
+           n_points=st.integers(1, 40), weight_cap=st.sampled_from([1.0, 2.0, 3.5, 100.0]),
+           shift=st.floats(-1.0, 1.0))
+    def test_sparse_accumulation_matches_dense_oracle(self, seed, spread, n_points, weight_cap, shift):
+        # clustered points send rays through shared voxels (spread 0: one
+        # point repeated), small caps are reached, and a shifted second view
+        # grows the grid unless the shift is small
+        rng = np.random.default_rng(seed)
+        params = MapParams(weight_cap=weight_cap)
+        sensor = np.array([0.0, 0.0, 0.3]) + rng.uniform(-0.2, 0.2, size=3)
+        center = np.array([rng.uniform(0.8, 2.5), rng.uniform(-1.0, 1.0), rng.uniform(0.1, 0.6)])
+        first = center + spread * rng.standard_normal((n_points, 3))
+        second = np.concatenate([first[: n_points // 2 + 1], first]) + [shift, 0.5 * shift, 0.0]
+        grid = VoxelGrid3D.empty(center - 0.6, params.resolution, (24, 24, 24), fill=params.truncation)
+        record = ObjectRecord(id=0, class_id=1, stationarity=1, position=center.copy(),
+                              consistency=initial_state(1, ConsistencyParams()), tsdf=grid)
+        oracle = copy.deepcopy(record)
+        for pts in (first, second):
+            integrate_observation(record, make_observation(pts), sensor, params)
+            dense_integrate(oracle, make_observation(pts), sensor, params)
+            assert record.tsdf.dims == oracle.tsdf.dims
+            np.testing.assert_array_equal(record.tsdf.origin, oracle.tsdf.origin)
+            assert record.tsdf.values.tobytes() == oracle.tsdf.values.tobytes()
+            assert record.tsdf.weights.tobytes() == oracle.tsdf.weights.tobytes()
+            assert record.position.tobytes() == oracle.position.tobytes()
+            assert record.n_points == oracle.n_points
+        assert record.tsdf.weights.max() <= weight_cap
+
 
 class TestFusion:
     def test_empty_library(self, small_library):
@@ -197,15 +285,31 @@ class TestFusion:
         # owned voxels carry the object's values; all others are background
         assert np.all(g.values[~observed] == tau)
 
-    def test_min_fusion_matches_elementwise_oracle(self, small_library):
-        rng = np.random.default_rng(1)
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(1, 4), twins=st.booleans(),
+           grow=st.booleans())
+    def test_min_fusion_matches_elementwise_oracle(self, seed, n_objects, twins, grow):
+        # a small workspace the objects overlap and poke out of; twins spawn
+        # from one point set (exact ties), grow integrates a displaced second
+        # view that enlarges the object grid
+        rng = np.random.default_rng(seed)
+        library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
+                                workspace=(0.7, -0.4, 1.6, 0.4), height=0.5)
+        sensor = (0.0, 0.0, 0.3)
         recs = []
-        for k in range(2):
-            pts = rng.uniform([0.8, -0.3, 0.1], [1.4, 0.3, 0.5], size=(30, 3))
-            recs.append(spawn_object(make_observation(pts, instance_id=k), small_library, (0.0, 0.0, 0.3)))
-        g = fuse_global_tsdf(small_library)
-        tau = small_library.params.truncation
-        res = small_library.params.resolution
+        for k in range(n_objects):
+            if not (twins and k % 2):
+                pts = rng.uniform([0.8, -0.3, 0.1], [1.4, 0.3, 0.5], size=(int(rng.integers(1, 30)), 3))
+                moved = pts + rng.uniform(-0.4, 0.4, size=3)
+            rec = spawn_object(make_observation(pts, instance_id=k), library, sensor)
+            if grow:
+                dims = rec.tsdf.dims
+                integrate_observation(rec, make_observation(moved), sensor, library.params)
+                assert rec.tsdf.dims != dims
+            recs.append(rec)
+        g = fuse_global_tsdf(library)
+        tau = library.params.truncation
+        res = library.params.resolution
 
         expected = np.full(g.dims, tau)
         owner = np.full(g.dims, -1, dtype=int)
@@ -220,7 +324,7 @@ class TestFusion:
                 if v < expected[idx]:
                     expected[idx] = v
                     owner[idx] = rec.id
-        np.testing.assert_allclose(g.values, expected, atol=1e-12)
+        np.testing.assert_array_equal(g.values, expected)
         np.testing.assert_array_equal(g.owner, owner)
 
     def test_order_invariance_and_tie_break(self, small_library):

@@ -134,7 +134,7 @@ class TestSolveQp:
         assert qp.A_eq.shape == (0, 2) and qp.b_eq.shape == (0,)
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=60)
 
 
 def random_pd(rng, n):

@@ -105,7 +105,7 @@ def lattice_fields(draw):
 
 
 class TestMarchingSquares:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(field=lattice_fields(), level=st.sampled_from([0.0, 1.8 - 1e-6]))
     def test_matches_per_square_oracle(self, field, level):
         got = marching_squares(field, level)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import semnav.runner as runner_mod
 from semnav.runner import Metrics, RunRecord, TickRow, compute_metrics, run_closed_loop
 from semnav.scenario import MODE_NONSEMANTIC, MODE_SEMANTIC, Scenario, load_scenario
 from semnav.world import ControlInput, RobotState, WorldObject
@@ -148,3 +149,23 @@ def test_wall_sweep_solves_every_tick(scenario_dir, seed, gamma):
     assert rec.goal_reached
     assert [i for i, r in enumerate(rec.rows) if r.degraded] == []
     assert max(max(r.residuals.values()) for r in rec.rows) <= 1e-6
+
+
+def test_distance_cache_matches_fresh_field_every_tick(scenario_dir, monkeypatch):
+    # drawer_shift teleports a drawer: its mapped object is removed and new
+    # objects spawn, so live cell sets change while others repeat
+    real = runner_mod.build_semantic_edf
+    reused = []
+
+    def checked(boundary, params, grid_spec, cache=None):
+        before = set(cache)
+        edf = real(boundary, params, grid_spec, cache=cache)
+        fresh = real(boundary, params, grid_spec)
+        assert edf.values.tobytes() == fresh.values.tobytes()
+        reused.append(len(before & set(cache)))
+        return edf
+
+    monkeypatch.setattr(runner_mod, "build_semantic_edf", checked)
+    rec = run_closed_loop(load_scenario(scenario_dir / "drawer_shift.json"))
+    assert len(reused) == len(rec.rows) and sum(reused) > 0
+    assert rec.removed_objects and [t for t, _ in rec.spawned_objects if t > 0.0]

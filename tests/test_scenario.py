@@ -133,7 +133,7 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(target=st.sampled_from(SECTION_KEYS), value=JSON_VALUES)
 def test_any_section_value_loads_or_raises_scenario_error(target, value):
     section, key = target

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semnav.geometry import ray_box_intersect, wrap_angle
+from semnav.geometry import point_box_distance, ray_box_intersect, wrap_angle
 from semnav.world import (
     ControlInput,
     DepthCamera,
@@ -25,6 +25,41 @@ def reference_wrap(a: float) -> float:
     if w <= -math.pi:
         w += 2.0 * math.pi
     return w
+
+
+def box_gap(p, obj) -> float:
+    """0 inside the box, positive outside: the planar footprint distance or the z overshoot."""
+    hx, hy, hz = obj.half_extents
+    return max(point_box_distance(p[0], p[1], obj.center, obj.yaw, hx, hy), -p[2], p[2] - 2.0 * hz)
+
+
+def first_entry(origin, direction, obj, t_max: float) -> float:
+    """Smallest t in [0, t_max] with the ray point inside the box, +inf if none.
+
+    The gap is convex along a line, so a ternary search finds a point of its
+    minimum; if that is inside, bisection between the (outside) origin and it
+    finds the entry.
+    """
+    def gap(t):
+        return box_gap([o + t * d for o, d in zip(origin, direction)], obj)
+
+    lo, hi = 0.0, t_max
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if gap(m1) <= gap(m2):
+            hi = m2
+        else:
+            lo = m1
+    if gap(hi) > 0.0:
+        return math.inf
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestStepDynamics:
@@ -120,6 +155,42 @@ class TestRenderDepth:
             assert abs(t_noisy - t_true) <= 4 * cam.depth_noise_sigma
             assert t_noisy <= cam.max_range + 1e-12
 
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_boxes=st.integers(1, 4), rays=st.integers(2, 24),
+           levels=st.integers(1, 4), max_range=st.floats(1.5, 5.0))
+    def test_hits_match_per_ray_oracle(self, seed, n_boxes, rays, levels, max_range):
+        # random boxes around a random pose (never over the camera), some
+        # lower than the camera, some overlapping, some out of range
+        rng = np.random.default_rng(seed)
+        pose = RobotState(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(-math.pi, math.pi))
+        cam = DepthCamera(horizontal_fov=rng.uniform(0.3, 2.5), rays_per_scan=rays, vertical_levels=levels,
+                          vertical_fov=rng.uniform(0.1, 1.2), max_range=max_range, depth_noise_sigma=0.0)
+        world = []
+        for k in range(n_boxes):
+            hx, hy, hz = rng.uniform(0.05, 0.8, size=3)
+            r = rng.uniform(math.hypot(hx, hy) + 0.05, 3.0)
+            phi = pose.theta + rng.uniform(-0.6, 0.6) * cam.horizontal_fov
+            world.append(WorldObject(id=10 + k, center=(pose.x + r * math.cos(phi), pose.y + r * math.sin(phi)),
+                                     yaw=rng.uniform(-math.pi, math.pi), half_extents=(hx, hy, hz),
+                                     class_id=int(rng.integers(1, 4)), stationarity=int(rng.integers(0, 2))))
+        cloud = render_depth(world, pose, cam, 0)
+
+        origin = (pose.x, pose.y, cam.mount_height)
+        expected = []  # (t, direction, object) per hit ray, in ray order
+        for j in range(levels):
+            pitch = 0.0 if levels == 1 else -cam.vertical_fov / 2 + j * cam.vertical_fov / (levels - 1)
+            for i in range(rays):
+                az = pose.theta - cam.horizontal_fov / 2 + i * cam.horizontal_fov / (rays - 1)
+                d = (math.cos(pitch) * math.cos(az), math.cos(pitch) * math.sin(az), math.sin(pitch))
+                t, obj = min((first_entry(origin, d, o, max_range), k) for k, o in enumerate(world))
+                if t <= max_range:
+                    expected.append((t, d, world[obj]))
+        assert len(cloud) == len(expected)
+        for p, inst, cls, stat, (t, d, obj) in zip(cloud.points, cloud.instance_ids, cloud.class_ids,
+                                                   cloud.stationarity, expected):
+            np.testing.assert_allclose(p, np.array(origin) + t * np.array(d), rtol=0.0, atol=1e-9)
+            assert (inst, cls, stat) == (obj.id, obj.class_id, obj.stationarity)
+
     def test_max_range_respected(self):
         cam = DepthCamera(depth_noise_sigma=0.0, max_range=1.0)
         wall = WorldObject(id=0, center=(2.0, 0.0), yaw=0.0, half_extents=(0.05, 2.0, 0.5), class_id=1, stationarity=1)
@@ -201,7 +272,7 @@ def test_wrap_angle_against_reference():
         assert -math.pi < wrap_angle(float(a)) <= math.pi
 
 
-@settings(max_examples=2000, deadline=None, derandomize=True)
+@settings(max_examples=2000)
 @given(theta=st.floats(-1e6, 1e6))
 @example(theta=-math.pi)
 @example(theta=math.pi)
