@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .report import emit_outputs
 from .runner import run_closed_loop
-from .scenario import MODES, ScenarioError, load_scenario
+from .scenario import MODES, ScenarioError, load_scenario, scenario_from_dict, scenario_to_dict
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -19,19 +19,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=MODES, default=None, help="override the controller mode")
 
 
-def _load(args):
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if getattr(args, "mode", None) is not None:
-        scenario = replace(scenario, mode=args.mode)
-    return scenario
+def _load(args, gamma_bar: float | None = None):
+    """The scenario file with the command-line overrides, checked by the same loader as the file."""
+    data = scenario_to_dict(load_scenario(args.scenario))
+    data.update({key: getattr(args, key) for key in ("seed", "mode") if getattr(args, key) is not None})
+    if gamma_bar is not None:
+        data["controller"]["gamma_bar"] = gamma_bar
+    return scenario_from_dict(data)
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args)
-    if args.gamma_bar is not None:
-        scenario = replace(scenario, controller=replace(scenario.controller, gamma_bar=args.gamma_bar))
+    scenario = _load(args, args.gamma_bar)
     record = run_closed_loop(scenario)
     metrics = emit_outputs(record, args.out)
     if args.export_tsdf and record.final_global is not None:
@@ -43,7 +41,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load(args)
     try:
         gammas = [float(tok) for tok in args.gamma_bar.split(",") if tok]
     except ValueError:
@@ -52,13 +49,9 @@ def cmd_sweep(args) -> int:
     if not gammas:
         print("sweep: no gamma values given", file=sys.stderr)
         return 2
-    for gamma in gammas:
-        run_sc = replace(
-            scenario,
-            name=f"{scenario.name}_gamma{gamma:g}",
-            controller=replace(scenario.controller, gamma_bar=gamma),
-        )
-        record = run_closed_loop(run_sc)
+    scenarios = [_load(args, gamma) for gamma in gammas]  # every value is checked before the first run
+    for gamma, scenario in zip(gammas, scenarios):
+        record = run_closed_loop(replace(scenario, name=f"{scenario.name}_gamma{gamma:g}"))
         out_dir = Path(args.out) / f"gamma_{gamma:g}"
         metrics = emit_outputs(record, out_dir)
         print(

@@ -41,8 +41,10 @@ class ConsistencyParams:
     prior_sigma: float = 0.2  # initial shift std (m)
 
     def __post_init__(self):
-        if self.sigma_m <= 0.0:
-            raise ValueError("sigma_m must be positive")
+        for name, v in (("sigma_m", self.sigma_m), ("prior_sigma", self.prior_sigma),
+                        ("prior_static", min(self.prior_static)), ("prior_dynamic", min(self.prior_dynamic))):
+            if v <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.removal_threshold < 1.0:
             raise ValueError("removal_threshold must be in (0, 1)")
 

@@ -268,14 +268,8 @@ def spawn_object(
     if oid in library.records:
         raise RuntimeError(f"duplicate object id {oid}")
     params = library.params
-    tau = params.truncation
-    pad = 2.0 * tau
-    grid = VoxelGrid3D.empty(
-        obs.points.min(axis=0) - pad,
-        params.resolution,
-        np.ceil((np.ptp(obs.points, axis=0) + 2 * pad) / params.resolution).astype(int) + 1,
-        fill=tau,
-    )
+    # one background voxel at the centroid; the first integration sizes the grid
+    grid = VoxelGrid3D.empty(obs.centroid, params.resolution, (1, 1, 1), fill=params.truncation)
     rec = ObjectRecord(
         id=oid,
         class_id=obs.class_id,

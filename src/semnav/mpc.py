@@ -39,6 +39,8 @@ class ControllerParams:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
         if not 0.0 < self.gamma_bar <= 1.0:
             raise ValueError("gamma_bar must lie in (0, 1]")
         if min(self.r_diag) <= 0.0 or min(self.q_diag) < 0.0 or min(self.p_diag) < 0.0:

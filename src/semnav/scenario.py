@@ -2,14 +2,15 @@
 
 Scenarios are plain JSON with full defaulting; unknown keys are rejected with
 the offending field path so typos fail loudly rather than silently running
-with defaults.
+with defaults. The tables below write each key once for reading and writing;
+range rules live in the dataclass that owns the value.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .barrier import CbfParams
@@ -62,250 +63,173 @@ class Scenario:
         ids = [o.id for o in self.objects]
         if len(ids) != len(set(ids)):
             raise ScenarioError("objects: duplicate object ids")
+        for i, ev in enumerate(self.events):
+            if ev.object_id not in ids:
+                raise ScenarioError(f"events[{i}].object_id: no object has id {ev.object_id}")
+        if self.duration <= 0.0:
+            raise ScenarioError("duration: must be positive")
+        if self.seed < 0:
+            raise ScenarioError("seed: must be >= 0")
+        for key, v in (("goal_tolerance", self.goal_tolerance), ("pose_noise.sigma_xy", self.pose_noise_xy),
+                       ("pose_noise.sigma_theta", self.pose_noise_theta)):
+            if v < 0.0:
+                raise ScenarioError(f"{key}: must be >= 0")
 
 
-def _expect_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)}")
+# JSON key -> (kind, default). A kind is "int" (an integer, not a bool), "num" (a finite
+# number), "str", "ints" (a list of integers), n (a list of n finite numbers), a nested
+# table, a dataclass, or [dataclass] for a list of them. _REQUIRED keys have no default;
+# a default of None marks an optional value, which null also leaves absent.
+_REQUIRED = object()
+_ROBOT = {"start": (3, _REQUIRED), "goal": (3, _REQUIRED)}
+_POSE_NOISE = {"sigma_xy": ("num", 0.0), "sigma_theta": ("num", 0.0)}
+_OBJECT = {
+    "id": ("int", _REQUIRED),
+    "center": (2, _REQUIRED),
+    "yaw": ("num", 0.0),
+    "half_extents": (3, _REQUIRED),
+    "class_id": ("int", 1),
+    "stationarity": ("int", 1),
+}
+_EVENT = {
+    "time": ("num", _REQUIRED),
+    "object_id": ("int", _REQUIRED),
+    "action": ("str", _REQUIRED),
+    "center": (2, None),
+    "yaw": ("num", None),
+}
+_ROOT = {
+    "name": ("str", "unnamed"),
+    "workspace": (4, _REQUIRED),
+    "robot": (_ROBOT, _REQUIRED),
+    "objects": ([WorldObject], []),
+    "events": ([SceneEvent], []),
+    "mode": ("str", MODE_SEMANTIC),
+    "duration": ("num", 30.0),
+    "seed": ("int", 0),
+    "goal_tolerance": ("num", 0.1),
+    "pose_noise": (_POSE_NOISE, {}),
+    "camera": (DepthCamera, {}),
+    "map": (MapParams, {}),
+    "cbf": (CbfParams, {}),
+    "controller": (ControllerParams, {}),
+    "consistency": (ConsistencyParams, {}),
+    "consistency_override": ("num", None),
+    "snapshot_ticks": ("ints", []),
+}
+_FIELDS = {SceneEvent: {"time": "trigger_time", "center": "new_center", "yaw": "new_yaw"}}  # JSON key -> field
+
+
+def _shape(default):
+    """The kind of a parameter-section value, read off its default."""
+    return "int" if isinstance(default, int) else len(default) if isinstance(default, tuple) else "num"
+
+
+_SECTIONS = (DepthCamera, MapParams, CbfParams, ControllerParams, ConsistencyParams)
+_TABLES = {WorldObject: _OBJECT, SceneEvent: _EVENT}
+_TABLES.update({cls: {f.name: (_shape(f.default), f.default) for f in fields(cls)} for cls in _SECTIONS})
+
+
+def _table(kind) -> dict:
+    return kind if isinstance(kind, dict) else _TABLES[kind]
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _finite(v) -> float | None:
     """The value as a float if it is a finite JSON number, else None."""
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-    return float(v) if ok else None
+    return float(v) if (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max else None
 
 
-def _get_num(obj: dict, key: str, path: str, default=None, minimum=None):
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = _finite(obj[key])
-    if v is None:
-        raise ScenarioError(f"{path}.{key}: expected a finite number, got {obj[key]!r:.40}")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"{path}.{key}: must be >= {minimum}")
-    return v
-
-
-def _get_vec(obj: dict, key: str, n: int, path: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    v = obj[key]
-    vec = tuple(_finite(e) for e in v) if isinstance(v, list) else ()
-    if len(vec) != n or None in vec:
-        raise ScenarioError(f"{path}.{key}: expected a list of {n} finite numbers")
-    return vec
-
-
-def _parse_object(obj: dict, i: int) -> WorldObject:
-    path = f"objects[{i}]"
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _expect_keys(obj, {"id", "center", "yaw", "half_extents", "class_id", "stationarity"}, path)
-    if "id" not in obj or not isinstance(obj["id"], int):
-        raise ScenarioError(f"{path}.id: required integer")
-    st = obj.get("stationarity", 1)
-    if st not in (0, 1):
-        raise ScenarioError(f"{path}.stationarity: must be 0 or 1")
-    try:
-        return WorldObject(
-            id=obj["id"],
-            center=_get_vec(obj, "center", 2, path),
-            yaw=_get_num(obj, "yaw", path, default=0.0),
-            half_extents=_get_vec(obj, "half_extents", 3, path),
-            class_id=int(_get_num(obj, "class_id", path, default=1.0)),
-            stationarity=int(st),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _parse_event(ev: dict, i: int) -> SceneEvent:
-    path = f"events[{i}]"
-    if not isinstance(ev, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _expect_keys(ev, {"time", "object_id", "action", "center", "yaw"}, path)
-    t = _get_num(ev, "time", path)
-    if t < 0.0:
-        raise ScenarioError(f"{path}.time: must be >= 0")
-    action = ev.get("action")
-    if action not in ("teleport", "remove"):
-        raise ScenarioError(f"{path}.action: must be 'teleport' or 'remove'")
-    if "object_id" not in ev or not isinstance(ev["object_id"], int):
-        raise ScenarioError(f"{path}.object_id: required integer")
-    center = _get_vec(ev, "center", 2, path, default=()) or None
-    if action == "teleport" and center is None:
-        raise ScenarioError(f"{path}.center: required for teleport")
-    yaw = ev.get("yaw")
-    if yaw is not None:
-        yaw = _get_num(ev, "yaw", path)
-    return SceneEvent(trigger_time=t, object_id=ev["object_id"], action=action, new_center=center, new_yaw=yaw)
-
-
-_TOP_KEYS = {
-    "name",
-    "workspace",
-    "robot",
-    "objects",
-    "events",
-    "mode",
-    "duration",
-    "seed",
-    "goal_tolerance",
-    "pose_noise",
-    "camera",
-    "map",
-    "cbf",
-    "controller",
-    "consistency",
-    "consistency_override",
-    "snapshot_ticks",
+_KINDS = {  # kind -> (what a value must be, the value as read or None if it is not one)
+    "int": ("an integer", lambda v: v if _is_int(v) else None),
+    "num": ("a finite number", _finite),
+    "str": ("a string", lambda v: v if isinstance(v, str) else None),
+    "ints": ("a list of integers", lambda v: tuple(v) if isinstance(v, list) and all(map(_is_int, v)) else None),
 }
 
 
-def _parse_section(data: dict, key: str, cls):
-    """Build a parameter dataclass from a JSON object, each value shaped like the field's default.
+def _value(v, kind, path: str):
+    """One value checked against its kind; lists of numbers become tuples, objects dicts or dataclasses."""
+    if isinstance(kind, (dict, type)):
+        values = _read(v, _table(kind), path)
+        return values if isinstance(kind, dict) else _build(kind, values, path)
+    if isinstance(kind, list):
+        if not isinstance(v, list):
+            raise ScenarioError(f"{path}: expected a list")
+        return [_value(item, kind[0], f"{path}[{i}]") for i, item in enumerate(v)]
+    if isinstance(kind, int):
+        vec = tuple(map(_finite, v)) if isinstance(v, (list, tuple)) else ()
+        expected, out = f"a list of {kind} finite numbers", vec if len(vec) == kind and None not in vec else None
+    else:
+        expected, out = _KINDS[kind][0], _KINDS[kind][1](v)
+    if out is None:
+        raise ScenarioError(f"{path}: expected {expected}, got {v!r:.40}")
+    return out
 
-    The keys are the dataclass fields. An int default takes an integer, a
-    tuple default a list of as many finite numbers, any other default one
-    finite number.
-    """
-    sec = data.get(key, {})
-    if not isinstance(sec, dict):
-        raise ScenarioError(f"{key}: expected an object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    _expect_keys(sec, set(defaults), key)
-    kwargs = {}
-    for k, v in sec.items():
-        if isinstance(defaults[k], int):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ScenarioError(f"{key}.{k}: expected an integer")
-            kwargs[k] = v
-        elif isinstance(defaults[k], tuple):
-            kwargs[k] = _get_vec(sec, k, len(defaults[k]), key)
-        else:
-            kwargs[k] = _get_num(sec, k, key)
+
+def _read(obj, table: dict, path: str) -> dict:
+    """Values of a JSON object by key: no unknown keys, defaults filled in, each of its kind."""
+    where = path or "root"
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    unknown = set(obj) - set(table)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        at = f"{path}.{key}" if path else key
+        v = obj.get(key, default)
+        if v is _REQUIRED:
+            raise ScenarioError(f"{at}: required")
+        out[key] = None if v is None and default is None else _value(v, kind, at)
+    return out
+
+
+def _build(cls, values: dict, path: str):
+    """Construct cls from read values; a ValueError that starts with a field name is reported at path.key."""
+    keys = _FIELDS.get(cls, {})
     try:
-        return cls(**kwargs)
+        return cls(**{keys.get(k, k): v for k, v in values.items()})
     except ValueError as exc:
-        # parameter checks start their message with the field name ("horizon must be >= 1")
         name, _, rest = str(exc).partition(" ")
-        if name in defaults:
-            raise ScenarioError(f"{key}.{name}: {rest}") from exc
-        raise ScenarioError(f"{key}: {exc}") from exc
+        key = {keys.get(k, k): k for k in values}.get(name)
+        raise ScenarioError(f"{path}.{key}: {rest}" if key else f"{path}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("root: expected a JSON object")
-    _expect_keys(data, _TOP_KEYS, "root")
+    v = _read(data, _ROOT, "")
+    robot, noise = v.pop("robot"), v.pop("pose_noise")
+    v["map_params"] = v.pop("map")
+    return Scenario(start=robot["start"], goal=robot["goal"], pose_noise_xy=noise["sigma_xy"],
+                    pose_noise_theta=noise["sigma_theta"], **v)
 
-    robot = data.get("robot")
-    if not isinstance(robot, dict):
-        raise ScenarioError("robot: required object with start and goal")
-    _expect_keys(robot, {"start", "goal"}, "robot")
 
-    pose_noise = data.get("pose_noise", {})
-    if not isinstance(pose_noise, dict):
-        raise ScenarioError("pose_noise: expected an object")
-    _expect_keys(pose_noise, {"sigma_xy", "sigma_theta"}, "pose_noise")
-
-    objects_raw = data.get("objects", [])
-    if not isinstance(objects_raw, list):
-        raise ScenarioError("objects: expected a list")
-    events_raw = data.get("events", [])
-    if not isinstance(events_raw, list):
-        raise ScenarioError("events: expected a list")
-
-    override = data.get("consistency_override")
-    if override is not None:
-        override = _get_num(data, "consistency_override", "root")
-
-    snap = data.get("snapshot_ticks", [])
-    if not isinstance(snap, list) or any(isinstance(t, bool) or not isinstance(t, int) for t in snap):
-        raise ScenarioError("snapshot_ticks: expected a list of integers")
-
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed: expected an integer")
-
-    camera = _parse_section(data, "camera", DepthCamera)
-    map_params = _parse_section(data, "map", MapParams)
-    cbf = _parse_section(data, "cbf", CbfParams)
-    controller = _parse_section(data, "controller", ControllerParams)
-    consistency = _parse_section(data, "consistency", ConsistencyParams)
-
-    try:
-        return Scenario(
-            name=str(data.get("name", "unnamed")),
-            workspace=_get_vec(data, "workspace", 4, "root"),
-            start=_get_vec(robot, "start", 3, "robot"),
-            goal=_get_vec(robot, "goal", 3, "robot"),
-            objects=[_parse_object(o, i) for i, o in enumerate(objects_raw)],
-            events=[_parse_event(e, i) for i, e in enumerate(events_raw)],
-            mode=data.get("mode", MODE_SEMANTIC),
-            duration=_get_num(data, "duration", "root", default=30.0, minimum=1e-9),
-            seed=seed,
-            goal_tolerance=_get_num(data, "goal_tolerance", "root", default=0.1, minimum=0.0),
-            pose_noise_xy=_get_num(pose_noise, "sigma_xy", "pose_noise", default=0.0, minimum=0.0),
-            pose_noise_theta=_get_num(pose_noise, "sigma_theta", "pose_noise", default=0.0, minimum=0.0),
-            camera=camera,
-            map_params=map_params,
-            cbf=cbf,
-            controller=controller,
-            consistency=consistency,
-            consistency_override=override,
-            snapshot_ticks=tuple(snap),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _write(obj, table: dict) -> dict:
+    """The JSON object of a dataclass or of read values, keys in table order."""
+    if not isinstance(obj, dict):
+        keys = _FIELDS.get(type(obj), {})
+        obj = {k: getattr(obj, keys.get(k, k)) for k in table}
+    out = {}
+    for key, (kind, _) in table.items():
+        v = obj[key]
+        if isinstance(kind, (dict, type)):
+            v = _write(v, _table(kind))
+        elif isinstance(kind, list):  # list items leave out absent optional values
+            v = [{k: x for k, x in _write(item, _table(kind[0])).items() if x is not None} for item in v]
+        elif isinstance(v, tuple):
+            v = list(v)
+        out[key] = v
+    return out
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "workspace": list(sc.workspace),
-        "robot": {"start": list(sc.start), "goal": list(sc.goal)},
-        "objects": [
-            {
-                "id": o.id,
-                "center": list(o.center),
-                "yaw": o.yaw,
-                "half_extents": list(o.half_extents),
-                "class_id": o.class_id,
-                "stationarity": o.stationarity,
-            }
-            for o in sc.objects
-        ],
-        "events": [
-            {
-                "time": e.trigger_time,
-                "object_id": e.object_id,
-                "action": e.action,
-                **({"center": list(e.new_center)} if e.new_center is not None else {}),
-                **({"yaw": e.new_yaw} if e.new_yaw is not None else {}),
-            }
-            for e in sc.events
-        ],
-        "mode": sc.mode,
-        "duration": sc.duration,
-        "seed": sc.seed,
-        "goal_tolerance": sc.goal_tolerance,
-        "pose_noise": {"sigma_xy": sc.pose_noise_xy, "sigma_theta": sc.pose_noise_theta},
-        "camera": asdict(sc.camera),
-        "map": asdict(sc.map_params),
-        "cbf": asdict(sc.cbf),
-        "controller": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(sc.controller).items()},
-        "consistency": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(sc.consistency).items()},
-        "consistency_override": sc.consistency_override,
-        "snapshot_ticks": list(sc.snapshot_ticks),
-    }
+    values = {f.name: getattr(sc, f.name) for f in fields(sc)}
+    values.update(robot={"start": sc.start, "goal": sc.goal}, map=sc.map_params,
+                  pose_noise={"sigma_xy": sc.pose_noise_xy, "sigma_theta": sc.pose_noise_theta})
+    return _write(values, _ROOT)
 
 
 def load_scenario(path: str | Path) -> Scenario:

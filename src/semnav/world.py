@@ -78,9 +78,9 @@ class WorldObject:
 
     def __post_init__(self):
         if min(self.half_extents) <= 0.0:
-            raise ValueError(f"object {self.id}: half_extents must be positive")
+            raise ValueError("half_extents must be positive")
         if self.stationarity not in (LIKELY_STATIC, LIKELY_DYNAMIC):
-            raise ValueError(f"object {self.id}: stationarity must be 0 or 1")
+            raise ValueError("stationarity must be 0 or 1")
 
     @property
     def center3(self) -> np.ndarray:
@@ -99,11 +99,11 @@ class SceneEvent:
 
     def __post_init__(self):
         if self.trigger_time < 0.0:
-            raise ValueError("event trigger_time must be >= 0")
+            raise ValueError("trigger_time must be >= 0")
         if self.action not in ("teleport", "remove"):
-            raise ValueError(f"unknown event action {self.action!r}")
+            raise ValueError(f"action must be 'teleport' or 'remove', got {self.action!r}")
         if self.action == "teleport" and self.new_center is None:
-            raise ValueError("teleport event needs new_center")
+            raise ValueError("new_center is required for a teleport")
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,8 @@ class DepthCamera:
     def __post_init__(self):
         if self.rays_per_scan < 2:
             raise ValueError("rays_per_scan must be >= 2")
+        if self.vertical_levels < 1:
+            raise ValueError("vertical_levels must be >= 1")
         if self.max_range <= 0.0:
             raise ValueError("max_range must be positive")
         if self.depth_noise_sigma < 0.0:

@@ -54,3 +54,17 @@ def test_sweep(scenario_dir, tmp_path, capsys):
 
 def test_sweep_rejects_bad_gamma_list(scenario_dir, tmp_path):
     assert main(["sweep", str(scenario_dir / "open_goal.json"), "--out", str(tmp_path), "--gamma-bar", "abc"]) == 2
+
+
+def test_run_rejects_bad_gamma_override(scenario_dir, tmp_path, capsys):
+    rc = main(["run", str(scenario_dir / "open_goal.json"), "--out", str(tmp_path / "o"), "--gamma-bar", "5"])
+    assert rc == 2
+    assert "controller.gamma_bar: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_checks_every_gamma_before_the_first_run(scenario_dir, tmp_path, capsys):
+    rc = main(["sweep", str(scenario_dir / "open_goal.json"), "--out", str(tmp_path / "sw"), "--gamma-bar", "0.1,-1"])
+    assert rc == 2
+    assert "controller.gamma_bar: " in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()

@@ -368,6 +368,31 @@ class TestSpawnRemove:
         assert rec.tsdf.background == tau
         assert np.all(rec.tsdf.values[rec.tsdf.weights == 0.0] == tau)
 
+    def test_spawn_grid_is_sized_by_integration_alone(self, small_library, monkeypatch):
+        obs = make_observation([[1.0, 0.1, 0.2], [1.1, -0.2, 0.4], [0.9, 0.3, 0.1]])
+        sensor = (0.0, 0.0, 0.3)
+        params = small_library.params
+        empty = VoxelGrid3D.empty.__func__
+        allocated = []
+
+        def counting_empty(cls, *args, **kwargs):
+            allocated.append(empty(cls, *args, **kwargs))
+            return allocated[-1]
+
+        monkeypatch.setattr(VoxelGrid3D, "empty", classmethod(counting_empty))
+        rec = spawn_object(obs, small_library, sensor)
+        # one background voxel, then the one grid the integration sizes and keeps
+        assert [g.dims for g in allocated] == [(1, 1, 1), rec.tsdf.dims]
+        ref = ObjectRecord(
+            id=99, class_id=1, stationarity=1, position=obs.centroid.copy(),
+            consistency=initial_state(1, small_library.consistency_params),
+            tsdf=empty(VoxelGrid3D, obs.points[-1], params.resolution, (0, 0, 0), fill=params.truncation),
+        )
+        integrate_observation(ref, obs, sensor, params)
+        assert np.array_equal(rec.tsdf.origin, ref.tsdf.origin) and rec.tsdf.dims == ref.tsdf.dims
+        assert np.array_equal(rec.tsdf.values, ref.tsdf.values)
+        assert np.array_equal(rec.tsdf.weights, ref.tsdf.weights)
+
     def test_spawn_empty_rejected(self, small_library):
         with pytest.raises(ValueError):
             spawn_object(make_observation(np.zeros((0, 3))), small_library, (0, 0, 0.3))

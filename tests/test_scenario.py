@@ -1,8 +1,9 @@
 import copy
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semnav.scenario import (
@@ -143,3 +144,62 @@ def test_any_section_value_loads_or_raises_scenario_error(target, value):
         scenario_from_dict(data)
     except ScenarioError as exc:
         assert str(exc).startswith(section)
+
+
+def _set(data, path, value):
+    """Set the value at a key path such as ("events", 0, "object_id"), making missing sections."""
+    *head, last = path
+    for k in head:
+        data = data.setdefault(k, {}) if isinstance(k, str) else data[k]
+    data[last] = value
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+@pytest.mark.parametrize("path, value", [
+    (("controller", "dt"), 0),  # ZeroDivisionError in the tick count
+    (("seed",), -1),  # ValueError in default_rng
+    (("events", 0, "object_id"), 99),  # ValueError at the event tick
+    (("consistency", "prior_static"), [0, 1]),  # ValueError at the first spawn
+    (("consistency", "prior_sigma"), 0),  # ValueError at the first spawn
+    (("camera", "vertical_levels"), -1),  # ValueError at the first render
+    (("objects", 0, "class_id"), 1.7),  # loaded as 1
+    (("name",), 5),  # loaded as "5"
+    (("events", 0, "object_id"), False),  # loaded and matched object 0
+], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
+def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
+    data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
+    _set(data, path, value)
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(_dotted(path))}: "):
+        scenario_from_dict(data)
+
+
+SHIFT = scenario_to_dict(load_scenario(SCENARIO_DIR / "drawer_shift.json"))
+SHIFT["events"][0]["yaw"] = 0.5  # every event key spelled out
+FUZZ_KEYS = (
+    [((), key) for key in SHIFT]
+    + [(("robot",), key) for key in SHIFT["robot"]]
+    + [(("objects", 0), key) for key in SHIFT["objects"][0]]
+    + [(("events", 0), key) for key in SHIFT["events"][0]]
+)
+# a value can also break a rule between two fields, which names the other field
+PARTNERS = {"workspace": ("robot.",), "objects": ("events[",), "objects[0].id": ("objects:",)}
+SMALL_NUMBERS = st.floats(-8.0, 8.0) | st.integers(-2, 12)  # often valid, so cross-field rules are reached
+
+
+@settings(max_examples=600)
+@given(target=st.sampled_from(FUZZ_KEYS), value=JSON_VALUES | SMALL_NUMBERS | st.lists(SMALL_NUMBERS, max_size=4))
+@example(target=((), "workspace"), value=[0.0, -1.0, 1.0, 1.0])  # the goal leaves the workspace
+@example(target=((), "objects"), value=[])  # the event's object is gone
+@example(target=(("objects", 0), "id"), value=1)  # two objects share an id
+def test_any_scenario_value_loads_or_raises_scenario_error_at_its_path(target, value):
+    where, key = target
+    data = copy.deepcopy(SHIFT)
+    _set(data, where + (key,), value)
+    at = _dotted(where + (key,))
+    try:
+        scenario_from_dict(data)
+    except ScenarioError as exc:
+        assert str(exc).startswith(tuple(at + sep for sep in ".:[") + PARTNERS.get(at, ())), str(exc)
