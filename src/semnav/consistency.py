@@ -41,7 +41,7 @@ class ConsistencyParams:
     prior_sigma: float = 0.2  # initial shift std (m)
 
     def __post_init__(self):
-        for name, v in (("sigma_m", self.sigma_m), ("prior_sigma", self.prior_sigma),
+        for name, v in (("sigma_m", self.sigma_m), ("prior_sigma", self.prior_sigma), ("n_max", self.n_max),
                         ("prior_static", min(self.prior_static)), ("prior_dynamic", min(self.prior_dynamic))):
             if v <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -1,11 +1,12 @@
 """Receding-horizon controller with linearized discrete barrier constraints.
 
-Dynamics and the per-step barrier decay condition are linearized about the
-previous predicted trajectory. The dynamics are then eliminated, leaving a
-condensed quadratic program in the input deviations alone. Barrier rows are
+The robot is a single integrator, so every predicted state is an exact affine
+function of the inputs and the condensed quadratic program is written in the
+inputs alone. Only the barrier is linearized, once per tick, about the
+previous predicted trajectory. In CBF mode its per-step decay condition is
 softened by heavily penalized slack so the program stays solvable under noise
 while violations remain observable; the classic baseline instead imposes hard
-barrier-positivity state constraints.
+barrier positivity at the predicted states, from the same linearization.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class ControllerParams:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "v_max", "omega_max", "rho_slack"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.gamma_bar <= 1.0:
             raise ValueError("gamma_bar must lie in (0, 1]")
         if min(self.r_diag) <= 0.0 or min(self.q_diag) < 0.0 or min(self.p_diag) < 0.0:
@@ -82,33 +84,24 @@ def hold_trajectory(x_t: np.ndarray, horizon: int) -> PredictedTrajectory:
     )
 
 
-def linearize_cbf_constraint(
+def linearize_barrier(
     field_: CbfField,
-    x_op: np.ndarray,
-    u_op: np.ndarray,
-    dt: float,
-    gamma_bar: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine coefficients (C, D, c) of the linearized decay condition, per horizon step.
+    op_states: np.ndarray,
+    x_t: np.ndarray,
+    S: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Barrier at each predicted state as an affine function of the inputs: h_k ~= b[k] + A[k] . u.
 
-    About each operating point (row k of the (T, 3) arrays ``x_op``, ``u_op``),
-    the requirement that the barrier shrink no faster than the configured
-    geometric rate becomes C[k] . dx_k + D[k] . du_k + c[k] >= 0 in the
-    deviation variables. Heading never changes the barrier, so the third
-    column of C and D is zero. All 2T barrier queries go in one batch.
+    The predicted states are x_k = x_t + S[k] u (``S`` is (K, 3, n)); h is
+    linearized about the operating states (``op_states``, (K, 3)) with one
+    batched query. Heading never changes the barrier.
     """
-    x_op = np.asarray(x_op, dtype=float)
-    u_op = np.asarray(u_op, dtype=float)
-    if not (np.all(np.isfinite(x_op)) and np.all(np.isfinite(u_op))):
-        raise ValueError("operating point must be finite")
-    T = x_op.shape[0]
-    x_plus = x_op + dt * u_op
-    h, grad = field_.query(np.concatenate([x_plus[:, :2], x_op[:, :2]]))
-    c_coef = np.zeros((T, 3))
-    d_coef = np.zeros((T, 3))
-    c_coef[:, :2] = grad[:T] - (1.0 - gamma_bar) * grad[T:]
-    d_coef[:, :2] = dt * grad[:T]
-    return c_coef, d_coef, h[:T] - (1.0 - gamma_bar) * h[T:]
+    op_states = np.asarray(op_states, dtype=float)
+    if not np.all(np.isfinite(op_states)):
+        raise ValueError("operating states must be finite")
+    h, grad = field_.query(op_states[:, :2])
+    b = h + np.sum(grad * (np.asarray(x_t, dtype=float)[:2] - op_states[:, :2]), axis=1)
+    return b, np.einsum("ka,kan->kn", grad, S[:, :2])
 
 
 def build_qp(
@@ -121,80 +114,63 @@ def build_qp(
     *,
     workspace: tuple[float, float, float, float],
 ) -> QpProblem:
-    """Condensed QP in the input deviations du (3T) and, in CBF mode, the slacks (T).
+    """Condensed QP in the inputs u (3T) and, in CBF mode, the slacks (T).
 
     ``workspace`` (xmin, ymin, xmax, ymax) bounds x and y of every predicted state.
 
-    Single-integrator dynamics make every state deviation an affine function of
-    the inputs, dx = c + S du: c is the initial-state error plus the cumulative
-    defect of the operating trajectory, S is dt times a block prefix sum. So
-    the program has no state variables and no equality rows. Rows that do not
-    depend on du (the k = 0 workspace and classic rows) stay: they carry the
+    Single-integrator dynamics make every predicted state exact and affine in
+    the inputs, x_k = x_t + S_k u with S dt times a block prefix sum, so the
+    program has no state variables and no equality rows. ``prev_traj`` only
+    supplies the states the barrier is linearized about. Rows that do not
+    depend on u (the k = 0 workspace and classic rows) stay: they carry the
     feasibility of the current state.
     """
     if mode not in (MODE_CBF, MODE_CLASSIC):
         raise ValueError(f"unknown controller mode {mode!r}")
     T = params.horizon
-    dt = params.dt
-    op_s = np.asarray(prev_traj.states, dtype=float)
-    op_u = np.asarray(prev_traj.inputs, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
-    goal = np.asarray(goal, dtype=float)
     n_u = 3 * T
     n_slack = T if mode == MODE_CBF else 0
+    S = params.dt * np.kron(np.tri(T + 1, T, -1), np.eye(3))  # (3(T+1), 3T)
 
-    init_err = x_t - op_s[0]
-    init_err[2] = wrap_angle(init_err[2])
-    defects = op_s[:-1] + dt * op_u - op_s[1:]
-    c = init_err + np.concatenate([np.zeros((1, 3)), np.cumsum(defects, axis=0)])  # (T+1, 3)
-    S = dt * np.kron(np.tri(T + 1, T, -1), np.eye(3))  # (3(T+1), 3T)
-
-    # tracking cost 0.5 dx^T Hx dx + gx^T dx + const about the operating states
-    err = op_s - goal
-    err[:, 2] = np.array([wrap_angle(a) for a in err[:, 2]])
+    # tracking cost sum_k (x_k - goal)' W_k (x_k - goal) + u' R u, heading error wrapped
+    err = x_t - np.asarray(goal, dtype=float)
+    err[2] = wrap_angle(err[2])
     w = np.tile(np.array(params.q_diag, dtype=float), (T + 1, 1))
     w[T] = params.p_diag
     hx = 2.0 * w.ravel()
-    gx = hx * err.ravel()
-    cf = c.ravel()
     r = np.tile(np.array(params.r_diag, dtype=float), T)
-    uf = op_u.ravel()
-
     H = np.zeros((n_u + n_slack, n_u + n_slack))
     H[:n_u, :n_u] = np.diag(2.0 * r) + S.T @ (hx[:, None] * S)
     g = np.zeros(n_u + n_slack)
-    g[:n_u] = 2.0 * r * uf + S.T @ (hx * cf + gx)
+    g[:n_u] = S.T @ (hx * np.tile(err, T + 1))
     g[n_u:] = params.rho_slack
-    offset = float(np.sum(w * err * err) + r @ (uf * uf) + 0.5 * cf @ (hx * cf) + gx @ cf)
+    offset = float(np.sum(w * err * err))
 
     # input box, then workspace box on x and y of every predicted state
     bounds = np.tile(params.input_bounds, T)
     xmin, ymin, xmax, ymax = workspace
-    S_xy = S.reshape(T + 1, 3, n_u)[:, :2].reshape(-1, n_u)
-    pos = (op_s[:, :2] + c[:, :2]).ravel()
-    lo = np.tile([xmin, ymin], T + 1)
-    hi = np.tile([xmax, ymax], T + 1)
+    S_k = S.reshape(T + 1, 3, n_u)  # x_k = x_t + S_k[k] u
+    S_xy = S_k[:, :2].reshape(-1, n_u)
+    pos = np.tile(x_t[:2], T + 1)
     blocks = [np.eye(n_u), -np.eye(n_u), S_xy, -S_xy]
-    rhs = [bounds - uf, bounds + uf, hi - pos, pos - lo]
+    rhs = [bounds, bounds, np.tile([xmax, ymax], T + 1) - pos, pos - np.tile([xmin, ymin], T + 1)]
 
-    S_k = S[: 3 * T].reshape(T, 3, n_u)  # dx_k = c_k + S_k du for k < T
+    b, A = linearize_barrier(field_, prev_traj.states, x_t, S_k)
     if mode == MODE_CBF:
-        # -(C_k dx_k + D_k du_k) - sigma_k <= c_k, and sigma_k >= 0
-        C, D, const = linearize_cbf_constraint(field_, op_s[:T], op_u, dt, params.gamma_bar)
-        cbf = -np.einsum("ka,kan->kn", C, S_k)
-        cbf.reshape(T, T, 3)[np.arange(T), np.arange(T)] -= D
+        # linearized decay h_{k+1} - (1 - gamma) h_k + sigma_k >= 0, and sigma_k >= 0
+        keep = 1.0 - params.gamma_bar
         box = np.vstack(blocks)
         G = np.block([
             [box, np.zeros((box.shape[0], T))],
-            [cbf, -np.eye(T)],
+            [keep * A[:T] - A[1:], -np.eye(T)],
             [np.zeros((T, n_u)), -np.eye(T)],
         ])
-        rhs += [const + np.sum(C * c[:T], axis=1), np.zeros(T)]
+        rhs += [b[1:] - keep * b[:T], np.zeros(T)]
     else:
-        # hard barrier positivity, linearized at the operating states
-        h_op, grad = field_.query(op_s[:T, :2])
-        G = np.vstack(blocks + [-np.einsum("ka,kan->kn", grad, S_k[:, :2])])
-        rhs.append(h_op - params.classic_epsilon + np.sum(grad * c[:T, :2], axis=1))
+        # hard, linearized barrier positivity h_k >= epsilon for k < T
+        G = np.vstack(blocks + [-A[:T]])
+        rhs.append(b[:T] - params.classic_epsilon)
 
     return QpProblem(H=H, g=g, G_in=G, h_in=np.concatenate(rhs), cost_offset=offset)
 
@@ -202,12 +178,11 @@ def build_qp(
 def _reconstruct(
     params: ControllerParams,
     x_t: np.ndarray,
-    op_u: np.ndarray,
     sol: QpSolution,
     field_: CbfField,
 ) -> PredictedTrajectory:
     T = params.horizon
-    inputs = op_u + sol.x[: 3 * T].reshape(T, 3)
+    inputs = sol.x[: 3 * T].reshape(T, 3).copy()
     states = np.zeros((T + 1, 3))
     states[0] = x_t
     for k in range(T):
@@ -261,6 +236,6 @@ def mpc_step(
         traj.h_values = np.full(params.horizon + 1, field_.query_h(x_t[0], x_t[1]))
         return ControlInput(*u), traj
 
-    traj = _reconstruct(params, x_t, np.asarray(prev_traj.inputs, dtype=float), sol, field_)
+    traj = _reconstruct(params, x_t, sol, field_)
     u = traj.inputs[0]
     return ControlInput(*u), traj

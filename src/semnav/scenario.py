@@ -9,6 +9,7 @@ range rules live in the dataclass that owns the value.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
@@ -17,7 +18,7 @@ from .barrier import CbfParams
 from .consistency import ConsistencyParams
 from .mapping import MapParams
 from .mpc import ControllerParams
-from .world import DepthCamera, SceneEvent, WorldObject
+from .world import DepthCamera, SceneEvent, WorldObject, apply_scene_events
 
 MODE_SEMANTIC = "semantic_mpc_cbf"
 MODE_NONSEMANTIC = "nonsemantic_mpc_cbf"
@@ -68,6 +69,18 @@ class Scenario:
                 raise ScenarioError(f"events[{i}].object_id: no object has id {ev.object_id}")
         if self.duration <= 0.0:
             raise ScenarioError("duration: must be positive")
+        # replay the events as the runner does, at ticks k * dt for k < duration / dt;
+        # the neighbours of ceil(time / dt) absorb its rounding, no other tick applies one
+        dt, world, applied = self.controller.dt, list(self.objects), set()
+        steps = [ev.trigger_time / dt for ev in self.events]
+        ticks = {math.ceil(q) + j for q in steps if q < math.inf for j in (-1, 0, 1)}
+        for k in sorted(k for k in ticks if 0 <= k < self.duration / dt):
+            try:
+                world = apply_scene_events(world, self.events, applied, k * dt)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
+        if self.cbf.theta_z < 0.5 * self.map_params.resolution:  # project_2p5d's lowest layer centre
+            raise ScenarioError("cbf.theta_z: must be at least half of map.resolution")
         if self.seed < 0:
             raise ScenarioError("seed: must be >= 0")
         for key, v in (("goal_tolerance", self.goal_tolerance), ("pose_noise.sigma_xy", self.pose_noise_xy),

@@ -240,7 +240,7 @@ def apply_scene_events(
             continue
         ids = [o.id for o in new_world]
         if ev.object_id not in ids:
-            raise ValueError(f"scene event references unknown object id {ev.object_id}")
+            raise ValueError(f"events[{i}].object_id: unknown object id {ev.object_id} in the scene at t = {t_now:g}")
         j = ids.index(ev.object_id)
         if ev.action == "remove":
             new_world.pop(j)

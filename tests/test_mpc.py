@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semnav.barrier import CbfField, CbfParams
+from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
 from semnav.grids import Grid2D
 from semnav.mpc import (
     MODE_CBF,
@@ -9,7 +11,7 @@ from semnav.mpc import (
     ControllerParams,
     build_qp,
     hold_trajectory,
-    linearize_cbf_constraint,
+    linearize_barrier,
     mpc_step,
 )
 from semnav.qp import solve_qp
@@ -31,41 +33,74 @@ def planar_field_x(extent=20.0):
     return CbfField(grid=Grid2D(origin=np.array([0.0, 0.0]), resolution=RES, values=vals), params=CBF)
 
 
+def prediction_matrix(T, dt=0.2):
+    """S with x_k = x_t + S[k] u for the stacked inputs u = (u_0, ..., u_{T-1})."""
+    return dt * np.kron(np.tri(T + 1, T, -1), np.eye(3)).reshape(T + 1, 3, 3 * T)
+
+
+def built_field():
+    m25 = Grid2D.full((0.0, 0.0), RES, (64, 64), 0.3)
+    m25.values[40:44, :] = 0.05  # a wall band
+    m25.values[10:16, 30:36] = 0.05  # and a patch
+    return build_cbf_field(build_plain_edf(m25, CBF.theta_zero, CBF), CBF)
+
+
 class TestLinearization:
     def test_uniform_field_inactive(self):
         field = uniform_field()
-        C, D, c = linearize_cbf_constraint(field, np.zeros((1, 3)), np.zeros((1, 3)), 0.2, 0.03)
-        np.testing.assert_allclose(C, 0.0, atol=1e-12)
-        np.testing.assert_allclose(D, 0.0, atol=1e-12)
-        assert c[0] == pytest.approx(0.03 * CBF.theta_cutoff)
+        op = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.4, 0.1, -1.0]])
+        b, A = linearize_barrier(field, op, np.array([0.2, 0.3, 0.0]), prediction_matrix(2))
+        np.testing.assert_allclose(A, 0.0, atol=1e-12)
+        np.testing.assert_allclose(b, CBF.theta_cutoff, atol=1e-12)
 
     def test_planar_field_hand_values(self):
+        # h = x: every row predicts x_t.x plus dt times the x inputs applied so far
         field = planar_field_x()
-        C, D, c = linearize_cbf_constraint(field, np.array([[1.0, 5.0, 0.0]]), np.array([[0.5, 0.0, 0.0]]), 0.2, 0.1)
-        np.testing.assert_allclose(C[0], [0.1, 0.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(D[0], [0.2, 0.0, 0.0], atol=1e-9)
-        assert c[0] == pytest.approx(1.1 - 0.9 * 1.0, abs=1e-9)
+        op = np.array([[1.0, 5.0, 0.0], [1.1, 5.0, 0.0], [1.3, 5.2, 0.0]])
+        b, A = linearize_barrier(field, op, np.array([1.05, 5.0, 2.0]), prediction_matrix(2))
+        np.testing.assert_allclose(b, 1.05, atol=1e-9)
+        np.testing.assert_allclose(A, [[0, 0, 0, 0, 0, 0], [0.2, 0, 0, 0, 0, 0], [0.2, 0, 0, 0.2, 0, 0]], atol=1e-9)
 
     def test_zero_operating_input(self):
+        # the bootstrap: operating states held at the current state give b = h there
         field = planar_field_x()
-        gamma = 0.25
-        x_op = np.array([[2.0, 4.0, 0.3]])
-        _, _, c = linearize_cbf_constraint(field, x_op, np.zeros((1, 3)), 0.2, gamma)
-        assert c[0] == pytest.approx(gamma * field.query_h(2.0, 4.0), abs=1e-9)
+        x_t = np.array([2.0, 4.0, 0.3])
+        b, _ = linearize_barrier(field, hold_trajectory(x_t, 3).states, x_t, prediction_matrix(3))
+        np.testing.assert_allclose(b, field.query_h(2.0, 4.0), atol=1e-12)
 
     def test_rejects_nonfinite_operating_point(self):
+        op = np.array([[0.0, 0.0, np.nan], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError):
-            linearize_cbf_constraint(uniform_field(), np.array([[np.nan, 0, 0]]), np.zeros((1, 3)), 0.2, 0.1)
+            linearize_barrier(uniform_field(), op, np.zeros(3), prediction_matrix(1))
 
     def test_rows_match_single_step_linearization(self):
         field = planar_field_x()
         rng = np.random.default_rng(5)
-        x_op = np.column_stack([rng.uniform(1, 4, 10), rng.uniform(2, 8, 10), rng.uniform(-1, 1, 10)])
-        u_op = rng.uniform(-0.5, 0.5, size=(10, 3))
-        C, D, c = linearize_cbf_constraint(field, x_op, u_op, 0.2, 0.1)
-        for k in range(10):
-            Ck, Dk, ck = linearize_cbf_constraint(field, x_op[k : k + 1], u_op[k : k + 1], 0.2, 0.1)
-            assert np.array_equal(C[k], Ck[0]) and np.array_equal(D[k], Dk[0]) and c[k] == ck[0]
+        T = 10
+        op = np.column_stack([rng.uniform(1, 4, T + 1), rng.uniform(2, 8, T + 1), rng.uniform(-1, 1, T + 1)])
+        x_t = np.array([2.0, 5.0, 0.1])
+        S = prediction_matrix(T)
+        b, A = linearize_barrier(field, op, x_t, S)
+        for k in range(T + 1):
+            bk, Ak = linearize_barrier(field, op[k : k + 1], x_t, S[k : k + 1])
+            assert b[k] == bk[0] and np.array_equal(A[k], Ak[0])
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 10), planar=st.booleans())
+    def test_affine_in_inputs_matches_first_order_expansion(self, seed, T, planar):
+        # b + A u is h linearized at op_k and evaluated at the state x_k the inputs reach
+        field, lo, hi = (planar_field_x(), 1.0, 9.0) if planar else (built_field(), 0.3, 2.9)
+        rng = np.random.default_rng(seed)
+        op = np.column_stack([rng.uniform(lo, hi, (T + 1, 2)), rng.uniform(-3, 3, T + 1)])
+        x_t = np.append(rng.uniform(lo + 0.5, hi - 0.5, 2), rng.uniform(-3, 3))
+        u = rng.uniform(-0.5, 0.5, (T, 3))
+        b, A = linearize_barrier(field, op, x_t, prediction_matrix(T))
+        x = x_t
+        for k in range(T + 1):
+            expected = field.query_h(*op[k, :2]) + np.dot(field.query_grad(*op[k, :2]), x[:2] - op[k, :2])
+            assert abs(b[k] + A[k] @ u.ravel() - expected) <= 1e-12
+            if k < T:
+                x = x + 0.2 * u[k]
 
 
 class TestBuildQp:
@@ -128,6 +163,25 @@ class TestBuildQp:
         qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.ones(3), workspace=WORKSPACE)
         assert (qp.g.shape[0], qp.b_eq.shape[0], qp.h_in.shape[0]) == (40, 0, 124)
 
+    def test_both_modes_take_rows_from_one_linearization(self):
+        # classic rows are -A[:T]; CBF rows combine the same A[:T] with A[1:]
+        params = ControllerParams(gamma_bar=0.2)
+        T, n_u = params.horizon, 3 * params.horizon
+        field = built_field()
+        x0 = np.array([1.2, 1.0, 0.0])
+        goal = np.array([2.8, 1.6, 0.0])
+        _, prev = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
+        x_t = np.array([1.25, 1.02, 0.1])
+        b, A = linearize_barrier(field, prev.states, x_t, prediction_matrix(T, params.dt))
+        assert np.abs(A[1:]).max() > 0.01  # the wall is within reach
+        classic = build_qp(params, x_t, prev, field, goal, MODE_CLASSIC, workspace=WORKSPACE)
+        assert np.array_equal(classic.G_in[-T:], -A[:T])
+        assert np.array_equal(classic.h_in[-T:], b[:T] - params.classic_epsilon)
+        cbf = build_qp(params, x_t, prev, field, goal, MODE_CBF, workspace=WORKSPACE)
+        rows = cbf.G_in[-2 * T : -T]
+        assert np.array_equal(rows[:, :n_u], 0.8 * A[:T] - A[1:]) and np.array_equal(rows[:, n_u:], -np.eye(T))
+        assert np.array_equal(cbf.h_in[-2 * T : -T], b[1:] - 0.8 * b[:T])
+
 
 class TestMpcStep:
     def test_zero_input_at_goal(self):
@@ -169,23 +223,21 @@ class TestMpcStep:
         assert traj.max_slack <= 1e-6
 
     def test_linearized_decay_holds_on_solution(self):
-        # drive toward a planar barrier; the solved trajectory satisfies the
-        # linearized condition row by row in the deviation variables
+        # drive toward a planar barrier; the solved inputs satisfy the linearized
+        # decay condition row by row, less their slack
         params = ControllerParams(gamma_bar=0.1)
+        T = params.horizon
         field = planar_field_x()
         x0 = np.array([3.0, 5.0, 0.0])
         goal = np.array([0.5, 5.0, 0.0])
-        traj = hold_trajectory(x0, params.horizon)
+        traj = hold_trajectory(x0, T)
         for _ in range(8):
-            op_s, op_u = traj.states.copy(), traj.inputs.copy()
+            op = traj.states.copy()
             u, traj = mpc_step(params, x0, traj, field, goal, workspace=WORKSPACE)
             assert traj.status == "ok"
-            T = params.horizon
-            C, D, c = linearize_cbf_constraint(field, op_s[:T], op_u, params.dt, params.gamma_bar)
-            for k in range(T):
-                dx = traj.states[k] - op_s[k]
-                du = traj.inputs[k] - op_u[k]
-                assert C[k] @ dx + D[k] @ du + c[k] + traj.slack[k] >= -1e-6
+            b, A = linearize_barrier(field, op, x0, prediction_matrix(T, params.dt))
+            h = b + A @ traj.inputs.ravel()
+            assert np.all(h[1:] - (1.0 - params.gamma_bar) * h[:T] + traj.slack >= -1e-6)
             x0 = x0 + params.dt * np.array([u.vx, u.vy, u.omega])
 
     def test_gamma_scales_approach_speed(self):

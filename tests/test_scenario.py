@@ -143,7 +143,8 @@ def test_any_section_value_loads_or_raises_scenario_error(target, value):
     try:
         scenario_from_dict(data)
     except ScenarioError as exc:
-        assert str(exc).startswith(section)
+        # a coarse map.resolution breaks the rule on cbf.theta_z, which names that field
+        assert str(exc).startswith((section,) + (("cbf.theta_z:",) if target == ("map", "resolution") else ()))
 
 
 def _set(data, path, value):
@@ -168,6 +169,12 @@ def _dotted(path) -> str:
     (("objects", 0, "class_id"), 1.7),  # loaded as 1
     (("name",), 5),  # loaded as "5"
     (("events", 0, "object_id"), False),  # loaded and matched object 0
+    (("cbf", "theta_z"), 0.0249),  # ValueError at the first projection: no voxel layer in the window
+    (("controller", "v_max"), -0.5),  # every tick degrades; the fallback drives outside the box
+    (("controller", "v_max"), 0),  # every tick degrades
+    (("controller", "omega_max"), -1),  # every tick degrades
+    (("controller", "rho_slack"), -1),  # every tick degrades
+    (("consistency", "n_max"), 0),  # ValueError at the first consistency update
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
     data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
@@ -203,3 +210,31 @@ def test_any_scenario_value_loads_or_raises_scenario_error_at_its_path(target, v
         scenario_from_dict(data)
     except ScenarioError as exc:
         assert str(exc).startswith(tuple(at + sep for sep in ".:[") + PARTNERS.get(at, ())), str(exc)
+
+
+def test_theta_z_at_the_lowest_layer_centre_loads():
+    assert scenario_from_dict(dict(MINIMAL, cbf={"theta_z": 0.025})).cbf.theta_z == 0.025
+
+
+def _event(action, time):
+    extra = {"center": [2.0, 0.3]} if action == "teleport" else {}
+    return {"time": time, "object_id": 0, "action": action, **extra}
+
+
+@pytest.mark.parametrize("events, duration, rejected", [
+    ([_event("remove", 0.2), _event("teleport", 0.4)], 1.0, 1),
+    ([_event("remove", 0.2), _event("teleport", 0.2)], 1.0, 1),  # same tick, list order
+    ([_event("teleport", 0.2), _event("remove", 0.2)], 1.0, None),
+    ([_event("remove", 0.2), _event("remove", 1.2)], 1.0, None),  # the second falls after the last tick
+    ([_event("remove", 0.5), _event("teleport", 0.55)], 1.0, 1),  # both first apply at tick 3
+    ([_event("teleport", 0.2), _event("remove", 1e9)], 1e12, None),  # replayed at event ticks only
+], ids=["later_tick", "same_tick_remove_first", "same_tick_teleport_first", "after_run", "shared_tick",
+        "huge_duration"])
+def test_load_replays_events_at_the_runner_ticks(events, duration, rejected):
+    data = scenario_to_dict(load_scenario(SCENARIO_DIR / "wall_sweep.json"))
+    data.update(duration=duration, events=events)
+    if rejected is None:
+        assert len(scenario_from_dict(data).events) == len(events)
+    else:
+        with pytest.raises(ScenarioError, match=rf"^events\[{rejected}\]\.object_id: "):
+            scenario_from_dict(data)
