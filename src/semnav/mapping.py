@@ -123,48 +123,29 @@ def segment_observations(cloud: SemanticPointCloud) -> list[Observation]:
 def associate_observations(
     observations: list[Observation],
     library: ObjectLibrary,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+) -> tuple[list[tuple[int, int]], list[int]]:
     """Match observations to mapped objects by horizontal centroid distance.
 
     Pairs with mismatched class or distance beyond the gate are forbidden.
     Among valid pairings the match count is maximized and total distance
     minimized (Hungarian assignment over a large-cost-padded matrix).
 
-    Returns (matches [(obs_idx, object_id)], unmatched_obs_idx, unmatched_object_ids).
+    Returns (matches [(obs_idx, object_id)], unmatched_obs_idx).
     """
     objs = library.objects()
     if not observations or not objs:
-        return [], list(range(len(observations))), [o.id for o in objs]
+        return [], list(range(len(observations)))
 
-    cost = np.full((len(observations), len(objs)), FORBIDDEN_COST)
-    for i, ob in enumerate(observations):
-        for j, rec in enumerate(objs):
-            if ob.class_id != rec.class_id:
-                continue
-            d = float(np.hypot(ob.centroid[0] - rec.position[0], ob.centroid[1] - rec.position[1]))
-            if d <= library.params.gate:
-                cost[i, j] = d
+    cent = np.array([ob.centroid[:2] for ob in observations])
+    pos = np.array([rec.position[:2] for rec in objs])
+    d = np.hypot(cent[:, None, 0] - pos[None, :, 0], cent[:, None, 1] - pos[None, :, 1])
+    same_class = np.array([ob.class_id for ob in observations])[:, None] == [rec.class_id for rec in objs]
+    cost = np.where(same_class & (d <= library.params.gate), d, FORBIDDEN_COST)
 
     rows, cols = linear_sum_assignment(cost)
-    matches = []
-    matched_obs, matched_obj = set(), set()
-    for r, c in zip(rows, cols):
-        if cost[r, c] >= FORBIDDEN_COST:
-            continue
-        matches.append((int(r), objs[c].id))
-        matched_obs.add(int(r))
-        matched_obj.add(objs[c].id)
-    unmatched_obs = [i for i in range(len(observations)) if i not in matched_obs]
-    unmatched_objs = [o.id for o in objs if o.id not in matched_obj]
-    return matches, unmatched_obs, unmatched_objs
-
-
-def _band_samples(params: MapParams) -> np.ndarray:
-    # sample offsets along the ray covering the truncation band; voxel pitch is
-    # enough because every sample splats onto its full surrounding-center cube
-    step = params.resolution
-    n = int(np.ceil(params.truncation / step))
-    return np.arange(-n, n + 1) * step
+    ok = cost[rows, cols] < FORBIDDEN_COST
+    matches = [(int(r), objs[c].id) for r, c in zip(rows[ok], cols[ok])]
+    return matches, np.flatnonzero(np.bincount(rows[ok], minlength=len(observations)) == 0).tolist()
 
 
 def integrate_observation(
@@ -180,9 +161,6 @@ def integrate_observation(
     center to the point (positive on the sensor side), clamped to the band and
     fused by a weighted running average with unit sample weight.
     """
-    if len(obs) == 0:
-        return record
-
     origin = np.asarray(sensor_origin, dtype=float)
     pts = obs.points
     rays = pts - origin[None, :]
@@ -193,49 +171,42 @@ def integrate_observation(
         return record
     dirs = rays / t_hit[:, None]
 
-    tau = params.truncation
+    tau, res = params.truncation, params.resolution
     # pad well beyond the band so a displaced re-observation still lands inside
     # the grid, where never-observed voxels read as free space (+truncation)
-    pad = 2.0 * tau + 2.0 * params.resolution
-    lo = pts.min(axis=0) - pad
-    hi = pts.max(axis=0) + pad
-    grid = record.tsdf.grown_to_include(lo, hi)
+    pad = 2.0 * tau + 2.0 * res
+    grid = record.tsdf.grown_to_include(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
 
-    offsets = _band_samples(params)
-    # sample positions: (n_pts, n_samples, 3)
-    t_samp = t_hit[:, None] + offsets[None, :]
+    # sample the band at voxel pitch, enough because every sample splats onto
+    # its full surrounding-center cube: (n_pts, n_samples, 3)
+    n = int(np.ceil(tau / res))
+    t_samp = t_hit[:, None] + (np.arange(-n, n + 1) * res)[None, :]
     pos = origin[None, None, :] + t_samp[..., None] * dirs[:, None, :]
 
     n_pts, n_samp = t_samp.shape
-    flat_pos = pos.reshape(-1, 3)
     # splat each band sample onto the 8 voxel centers surrounding it; the fan
     # is sparse vertically, so a one-voxel tube would leave unobserved gaps
     # right next to the surface and bias interpolated reads
-    base = np.floor((flat_pos - grid.origin[None, :]) / grid.resolution - 0.5).astype(int)
+    base = np.floor((pos.reshape(-1, 3) - grid.origin[None, :]) / grid.resolution - 0.5).astype(int)
     corner = np.array([[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(8)])
     vidx = (base[:, None, :] + corner[None, :, :]).reshape(-1, 3)
     ray_of = np.repeat(np.repeat(np.arange(n_pts), n_samp), 8)
-
-    dims = np.array(grid.dims)
-    inside = np.all((vidx >= 0) & (vidx < dims[None, :]), axis=1)
-    ray_of = ray_of[inside]
-    vidx = vidx[inside]
+    # the pad keeps every stamp on the grid; ravel_multi_index raises otherwise
+    flat = np.ravel_multi_index(vidx.T, grid.dims)
 
     centers = grid.origin[None, :] + (vidx + 0.5) * grid.resolution
     t_proj = np.einsum("ij,ij->i", centers - origin[None, :], dirs[ray_of])
     sdf = t_hit[ray_of] - t_proj
     in_band = np.abs(sdf) <= tau
-    ray_of, vidx, sdf = ray_of[in_band], vidx[in_band], sdf[in_band]
 
-    # one sample per (ray, voxel): drop duplicate stamps from adjacent steps
-    flat = np.ravel_multi_index((vidx[:, 0], vidx[:, 1], vidx[:, 2]), grid.dims)
-    key = ray_of.astype(np.int64) * int(np.prod(grid.dims)) + flat
-    _, keep = np.unique(key, return_index=True)
-    flat = flat[keep]
-    sdf = sdf[keep]
-
-    # touched voxels only; bincount sums in stamp order, as np.add.at does
-    touched, slot = np.unique(flat, return_inverse=True)
+    # one sample per (voxel, ray), sorted by voxel and then ray: each voxel's
+    # rays form one run, summed in ray order by bincount as np.add.at would
+    key, first = np.unique(flat[in_band] * n_pts + ray_of[in_band], return_index=True)
+    sdf = sdf[in_band][first]
+    voxel = key // n_pts
+    starts = np.diff(voxel, prepend=-1) != 0
+    touched = voxel[starts]
+    slot = np.cumsum(starts) - 1
     sums = np.bincount(slot, weights=sdf)
     counts = np.bincount(slot)
 
@@ -247,8 +218,7 @@ def integrate_observation(
     grid.values = v.reshape(grid.dims)
     grid.weights = w.reshape(grid.dims)
 
-    n_new = pts.shape[0]
-    total = record.n_points + n_new
+    total = record.n_points + pts.shape[0]
     record.position = (record.position * record.n_points + pts.sum(axis=0)) / total
     record.n_points = total
     record.tsdf = grid

@@ -134,10 +134,10 @@ def write_run_svg(record: RunRecord, path: str | Path) -> None:
         px, py = _svg_coords(x, y, workspace)
         return f"{px:.2f}{sep}{py:.2f}"
 
-    # object footprints at their final simulated pose
+    # object footprints after the events of the last tick the run recorded
     world = list(scenario.objects)
-    applied: set[int] = set()
-    world = apply_scene_events(world, scenario.events, applied, float("inf"))
+    if record.rows:
+        world = apply_scene_events(world, scenario.events, set(), record.rows[-1].t)
     for obj in world:
         rot = rot2d(obj.yaw)
         hx, hy = obj.half_extents[0], obj.half_extents[1]

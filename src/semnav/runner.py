@@ -176,7 +176,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         sensor_origin = (est.x, est.y, scenario.camera.mount_height)
 
         observations = segment_observations(cloud)
-        matches, unmatched_obs, _ = associate_observations(observations, library)
+        matches, unmatched_obs = associate_observations(observations, library)
 
         for obs_idx, obj_id in matches:
             rec = library.records[obj_id]

@@ -87,6 +87,10 @@ class Scenario:
                        ("pose_noise.sigma_theta", self.pose_noise_theta)):
             if v < 0.0:
                 raise ScenarioError(f"{key}: must be >= 0")
+        if math.hypot(self.start[0] - self.goal[0], self.start[1] - self.goal[1]) <= self.goal_tolerance:
+            raise ScenarioError("robot.goal: lies within goal_tolerance of robot.start, so the run has no tick")
+        if self.cbf.theta_zero >= self.map_params.truncation:  # never-observed voxels hold the truncation
+            raise ScenarioError("cbf.theta_zero: must be below map.truncation")
 
 
 # JSON key -> (kind, default). A kind is "int" (an integer, not a bool), "num" (a finite

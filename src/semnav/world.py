@@ -214,12 +214,9 @@ def render_depth(
         t_hit = np.clip(t_hit, 1e-6, camera.max_range)
 
     points = origin[None, :] + t_hit[:, None] * dirs[hit]
-    obj_idx = best_obj[hit]
+    labels = np.array([(o.id, o.class_id, o.stationarity) for o in world], dtype=int)[best_obj[hit]]
     return SemanticPointCloud(
-        points=points,
-        instance_ids=np.array([world[i].id for i in obj_idx], dtype=int),
-        class_ids=np.array([world[i].class_id for i in obj_idx], dtype=int),
-        stationarity=np.array([world[i].stationarity for i in obj_idx], dtype=int),
+        points=points, instance_ids=labels[:, 0], class_ids=labels[:, 1], stationarity=labels[:, 2]
     )
 
 

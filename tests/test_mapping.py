@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from semnav.consistency import ConsistencyParams, initial_state
 from semnav.grids import VoxelGrid3D
@@ -80,6 +81,27 @@ def dense_integrate(record, obs, sensor_origin, params):
     return record
 
 
+def loop_association(observations, library):
+    """Association priced one (observation, object) pair at a time, the matches kept in a loop."""
+    objs = library.objects()
+    if not observations or not objs:
+        return [], list(range(len(observations)))
+    cost = np.full((len(observations), len(objs)), FORBIDDEN_COST)
+    for i, ob in enumerate(observations):
+        for j, rec in enumerate(objs):
+            if ob.class_id != rec.class_id:
+                continue
+            d = float(np.hypot(ob.centroid[0] - rec.position[0], ob.centroid[1] - rec.position[1]))
+            if d <= library.params.gate:
+                cost[i, j] = d
+    matches = []
+    for r, c in zip(*linear_sum_assignment(cost)):
+        if cost[r, c] < FORBIDDEN_COST:
+            matches.append((int(r), objs[c].id))
+    matched = {r for r, _ in matches}
+    return matches, [i for i in range(len(observations)) if i not in matched]
+
+
 def brute_force_assignment(cost: np.ndarray) -> float:
     """Min total cost over injective assignments on the big-cost-padded matrix."""
     n_obs, n_obj = cost.shape
@@ -125,20 +147,20 @@ class TestAssociation:
     def test_single_match(self, small_library):
         lib = self._library_with([[1.0, 0.0, 0.2]], [1], small_library)
         obs = [make_observation([[1.2, 0.0, 0.2]], class_id=1)]
-        matches, um_obs, um_obj = associate_observations(obs, lib)
-        assert matches == [(0, 0)] and not um_obs and not um_obj
+        matches, um_obs = associate_observations(obs, lib)
+        assert matches == [(0, 0)] and not um_obs
 
     def test_gate_excludes_distant(self, small_library):
         lib = self._library_with([[1.0, 0.0, 0.2]], [1], small_library)
         obs = [make_observation([[2.5, 0.0, 0.2]], class_id=1)]
-        matches, um_obs, um_obj = associate_observations(obs, lib)
-        assert matches == [] and um_obs == [0] and um_obj == [0]
+        matches, um_obs = associate_observations(obs, lib)
+        assert matches == [] and um_obs == [0]
 
     def test_class_mismatch_forbidden(self, small_library):
         lib = self._library_with([[1.0, 0.0, 0.2]], [1], small_library)
         obs = [make_observation([[1.0, 0.0, 0.2]], class_id=2)]
-        matches, um_obs, um_obj = associate_observations(obs, lib)
-        assert matches == []
+        matches, um_obs = associate_observations(obs, lib)
+        assert matches == [] and um_obs == [0]
 
     def test_matches_brute_force_on_random_instances(self, small_library):
         rng = np.random.default_rng(3)
@@ -149,7 +171,7 @@ class TestAssociation:
                 make_observation([rng.uniform([0, -1.8, 0.1], [3.5, 1.8, 0.4])], class_id=1)
                 for _ in range(3)
             ]
-            matches, _, _ = associate_observations(obs, lib)
+            matches, _ = associate_observations(obs, lib)
             cost = np.zeros((3, 3))
             objs = lib.objects()
             for i, ob in enumerate(obs):
@@ -163,14 +185,34 @@ class TestAssociation:
             ) + (3 - len(matches)) * FORBIDDEN_COST
             assert got == pytest.approx(brute_force_assignment(cost) + 0.0, abs=1e-9)
 
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n_obs=st.integers(0, 6), n_objs=st.integers(0, 6),
+           n_classes=st.integers(1, 3), gate=st.sampled_from([0.25, 0.5, 1.0, 1.7, 3.0]),
+           lattice=st.booleans())
+    def test_cost_array_matches_per_pair_loop(self, seed, n_obs, n_objs, n_classes, gate, lattice):
+        # a 0.25 m lattice puts centroids on each other and exactly on the gate
+        rng = np.random.default_rng(seed)
+        draw = lambda n: np.round(rng.uniform(-1.0, 1.0, (n, 3)) * 4) / 4 if lattice else rng.uniform(-1.0, 1.0, (n, 3))
+        library = ObjectLibrary(params=MapParams(gate=gate), consistency_params=ConsistencyParams(),
+                                workspace=(-2.0, -2.0, 2.0, 2.0), height=1.0)
+        ids = np.sort(rng.choice(20, size=n_objs, replace=False))  # gaps, as after removals
+        for oid, p in zip(ids, draw(n_objs)):
+            library.records[int(oid)] = ObjectRecord(
+                id=int(oid), class_id=int(rng.integers(n_classes)), stationarity=1, position=p,
+                consistency=initial_state(1, library.consistency_params),
+                tsdf=VoxelGrid3D.empty(p, 0.05, (1, 1, 1), fill=0.3))
+        obs = [make_observation(c, instance_id=k, class_id=int(rng.integers(n_classes)))
+               for k, c in enumerate(draw(n_obs))]
+        assert associate_observations(obs, library) == loop_association(obs, library)
+
     def test_match_set_invariant_under_obs_permutation(self, small_library):
         lib = self._library_with([[0.5, -0.5, 0.2], [1.5, 0.5, 0.2]], [1, 1], small_library)
         obs = [
             make_observation([[0.6, -0.45, 0.2]], class_id=1),
             make_observation([[1.4, 0.55, 0.2]], class_id=1),
         ]
-        m1, _, _ = associate_observations(obs, lib)
-        m2, _, _ = associate_observations(obs[::-1], lib)
+        m1, _ = associate_observations(obs, lib)
+        m2, _ = associate_observations(obs[::-1], lib)
         as_pairs = lambda m, order: {(order[i], oid) for i, oid in m}
         assert as_pairs(m1, [0, 1]) == as_pairs(m2, [1, 0])
 
@@ -226,6 +268,14 @@ class TestIntegration:
         empty = make_observation(np.zeros((0, 3)))
         integrate_observation(rec, empty, (0.0, 0.0, 0.5), small_library.params)
         np.testing.assert_array_equal(rec.tsdf.values, before)
+
+    def test_stamp_off_the_grid_raises(self, small_library, monkeypatch):
+        # the pad keeps every stamp on the grid; without growth the wall's
+        # stamps leave the one-point grid and must raise, not be dropped
+        rec = spawn_object(make_observation([[2.0, 0.0, 0.5]]), small_library, (0.0, 0.0, 0.5))
+        monkeypatch.setattr(VoxelGrid3D, "grown_to_include", lambda grid, lo, hi: grid)
+        with pytest.raises(ValueError):
+            integrate_observation(rec, self._perpendicular_wall_obs(), (0.0, 0.0, 0.5), small_library.params)
 
     def test_values_and_weights_bounded(self, small_library):
         rng = np.random.default_rng(0)
@@ -460,7 +510,7 @@ def test_full_scan_association_stable_over_motion():
         pose = RobotState(0.1 * step, 0, 0)
         cloud = render_depth(objs, pose, cam, step)
         obs = segment_observations(cloud)
-        matches, um_obs, _ = associate_observations(obs, lib)
+        matches, um_obs = associate_observations(obs, lib)
         assert not um_obs
         for i, oid in matches:
             integrate_observation(lib.records[oid], obs[i], (pose.x, pose.y, cam.mount_height), lib.params)

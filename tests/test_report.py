@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
 from semnav.grids import Grid2D
 from semnav.report import (
+    SVG_MARGIN,
+    SVG_SCALE,
     emit_outputs,
     marching_squares,
     trajectory_csv_lines,
@@ -17,7 +20,7 @@ from semnav.report import (
 )
 from semnav.runner import run_closed_loop
 from semnav.scenario import Scenario
-from semnav.world import WorldObject
+from semnav.world import SceneEvent, WorldObject
 
 
 def small_run(**kw):
@@ -142,6 +145,25 @@ class TestSvg:
         polylines = tree.getroot().findall(".//svg:polyline", ns)
         assert len(polylines) == 1
         assert tree.getroot().findall(".//svg:polygon", ns)  # object footprints present
+
+    def test_footprints_stop_at_the_last_recorded_tick(self, tmp_path):
+        # the object moves at t = 0.5 and again at t = 1000, long after the run ends
+        rec = small_run()
+        moves = [SceneEvent(trigger_time=0.5, object_id=0, action="teleport", new_center=(1.0, -1.5)),
+                 SceneEvent(trigger_time=1000.0, object_id=0, action="teleport", new_center=(3.0, -1.0))]
+        rec.scenario = replace(rec.scenario, events=moves)
+        xmin, _, _, ymax = rec.scenario.workspace
+
+        def footprint_center():
+            write_run_svg(rec, tmp_path / "run.svg")
+            (polygon,) = ET.parse(tmp_path / "run.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
+            px, py = np.array([c.split(",") for c in polygon.get("points").split()], dtype=float).mean(axis=0)
+            return (px - SVG_MARGIN) / SVG_SCALE + xmin, ymax - (py - SVG_MARGIN) / SVG_SCALE
+
+        assert rec.rows[-1].t >= 0.5
+        assert footprint_center() == pytest.approx((1.0, -1.5), abs=0.01)
+        rec.rows = []  # no tick ran, so no event applied
+        assert footprint_center() == pytest.approx((2.0, 1.2), abs=0.01)
 
 
 class TestFieldCsv:

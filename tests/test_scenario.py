@@ -143,8 +143,9 @@ def test_any_section_value_loads_or_raises_scenario_error(target, value):
     try:
         scenario_from_dict(data)
     except ScenarioError as exc:
-        # a coarse map.resolution breaks the rule on cbf.theta_z, which names that field
-        assert str(exc).startswith((section,) + (("cbf.theta_z:",) if target == ("map", "resolution") else ()))
+        # a coarse map.resolution or a thin map.truncation breaks a rule on cbf, which names the cbf field
+        partner = {("map", "resolution"): ("cbf.theta_z:",), ("map", "truncation"): ("cbf.theta_zero:",)}
+        assert str(exc).startswith((section,) + partner.get(target, ()))
 
 
 def _set(data, path, value):
@@ -175,6 +176,8 @@ def _dotted(path) -> str:
     (("controller", "omega_max"), -1),  # every tick degrades
     (("controller", "rho_slack"), -1),  # every tick degrades
     (("consistency", "n_max"), 0),  # ValueError at the first consistency update
+    (("robot", "goal"), [0.1, 0.0, 0.0]),  # no tick recorded; compute_metrics raises on the empty record
+    (("cbf", "theta_zero"), 0.3),  # = map.truncation: every never-observed column is on the zero level
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
     data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
@@ -192,7 +195,8 @@ FUZZ_KEYS = (
     + [(("events", 0), key) for key in SHIFT["events"][0]]
 )
 # a value can also break a rule between two fields, which names the other field
-PARTNERS = {"workspace": ("robot.",), "objects": ("events[",), "objects[0].id": ("objects:",)}
+PARTNERS = {"workspace": ("robot.",), "objects": ("events[",), "objects[0].id": ("objects:",),
+            "robot.start": ("robot.goal:",), "goal_tolerance": ("robot.goal:",)}
 SMALL_NUMBERS = st.floats(-8.0, 8.0) | st.integers(-2, 12)  # often valid, so cross-field rules are reached
 
 
@@ -214,6 +218,12 @@ def test_any_scenario_value_loads_or_raises_scenario_error_at_its_path(target, v
 
 def test_theta_z_at_the_lowest_layer_centre_loads():
     assert scenario_from_dict(dict(MINIMAL, cbf={"theta_z": 0.025})).cbf.theta_z == 0.025
+
+
+def test_goal_just_beyond_tolerance_and_theta_zero_just_below_truncation_load():
+    sc = scenario_from_dict(dict(MINIMAL, robot={"start": [0.0, 0.0, 0.0], "goal": [0.1001, 0.0, 0.0]},
+                                 cbf={"theta_zero": 0.29}))
+    assert sc.goal[0] == 0.1001 and sc.cbf.theta_zero == 0.29
 
 
 def _event(action, time):
