@@ -131,7 +131,9 @@ def build_qp(
     x_t = np.asarray(x_t, dtype=float)
     n_u = 3 * T
     n_slack = T if mode == MODE_CBF else 0
-    S = params.dt * np.kron(np.tri(T + 1, T, -1), np.eye(3))  # (3(T+1), 3T)
+    S = np.zeros((3 * (T + 1), 3 * T))  # dt * I_3 in every block below the block diagonal
+    for a in range(3):
+        S[a::3, a::3] = params.dt * np.tri(T + 1, T, -1)
 
     # tracking cost sum_k (x_k - goal)' W_k (x_k - goal) + u' R u, heading error wrapped
     err = x_t - np.asarray(goal, dtype=float)
@@ -147,29 +149,32 @@ def build_qp(
     g[n_u:] = params.rho_slack
     offset = float(np.sum(w * err * err))
 
-    # input box, then workspace box on x and y of every predicted state
+    # input box, then workspace box on x and y of every predicted state, then the barrier rows
     bounds = np.tile(params.input_bounds, T)
     xmin, ymin, xmax, ymax = workspace
     S_k = S.reshape(T + 1, 3, n_u)  # x_k = x_t + S_k[k] u
     S_xy = S_k[:, :2].reshape(-1, n_u)
     pos = np.tile(x_t[:2], T + 1)
-    blocks = [np.eye(n_u), -np.eye(n_u), S_xy, -S_xy]
+    n_ws = S_xy.shape[0]
+    n_box = 2 * n_u + 2 * n_ws
+    G = np.zeros((n_box + T + n_slack, n_u + n_slack))
+    G[:n_u, :n_u] = np.eye(n_u)
+    G[n_u : 2 * n_u, :n_u] = -np.eye(n_u)
+    G[2 * n_u : 2 * n_u + n_ws, :n_u] = S_xy
+    G[2 * n_u + n_ws : n_box, :n_u] = -S_xy
     rhs = [bounds, bounds, np.tile([xmax, ymax], T + 1) - pos, pos - np.tile([xmin, ymin], T + 1)]
 
     b, A = linearize_barrier(field_, prev_traj.states, x_t, S_k)
     if mode == MODE_CBF:
         # linearized decay h_{k+1} - (1 - gamma) h_k + sigma_k >= 0, and sigma_k >= 0
         keep = 1.0 - params.gamma_bar
-        box = np.vstack(blocks)
-        G = np.block([
-            [box, np.zeros((box.shape[0], T))],
-            [keep * A[:T] - A[1:], -np.eye(T)],
-            [np.zeros((T, n_u)), -np.eye(T)],
-        ])
+        G[n_box : n_box + T, :n_u] = keep * A[:T] - A[1:]
+        G[n_box : n_box + T, n_u:] = -np.eye(T)
+        G[n_box + T :, n_u:] = -np.eye(T)
         rhs += [b[1:] - keep * b[:T], np.zeros(T)]
     else:
         # hard, linearized barrier positivity h_k >= epsilon for k < T
-        G = np.vstack(blocks + [-A[:T]])
+        G[n_box:] = -A[:T]
         rhs.append(b[:T] - params.classic_epsilon)
 
     return QpProblem(H=H, g=g, G_in=G, h_in=np.concatenate(rhs), cost_offset=offset)
@@ -183,10 +188,7 @@ def _reconstruct(
 ) -> PredictedTrajectory:
     T = params.horizon
     inputs = sol.x[: 3 * T].reshape(T, 3).copy()
-    states = np.zeros((T + 1, 3))
-    states[0] = x_t
-    for k in range(T):
-        states[k + 1] = states[k] + params.dt * inputs[k]
+    states = np.cumsum(np.vstack([x_t, params.dt * inputs]), axis=0)  # x_{k+1} = x_k + dt u_k, added in order
     slack = sol.x[3 * T :].copy() if sol.x.shape[0] > 3 * T else np.zeros(T)
     h_vals, _ = field_.query(states[:, :2])
     return PredictedTrajectory(

@@ -7,7 +7,10 @@ for small dense problems. Written for the receding-horizon controller: no
 feasible start required, deterministic, and the returned solution carries its
 KKT residuals so the caller can audit solve quality per tick. Each Newton step
 eliminates slacks and multipliers and solves one positive-definite system
-M = H + G^T W G by Cholesky.
+M = H + G^T W G by Cholesky. The loop calls LAPACK dpotrf/dpotrs directly, the
+routines scipy.linalg.cho_factor/cho_solve wrap: on the controller's 40-variable
+systems the wrappers' argument handling took longer than LAPACK itself. The
+initial point keeps the checked wrappers, so non-finite data starts at zero.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 TOL = 1e-8  # residual target of the iteration
 MAX_ITER = 60
 ACCEPT_TOL = 1e-6  # residual bound under which a stalled or capped iterate still counts as optimal
+RESIDUAL_KEYS = ("stationarity", "primal", "comp")
 
 
 @dataclass
@@ -61,17 +66,13 @@ class QpSolution:
         return self.status != "optimal"
 
 
-def _residuals(r_stat: np.ndarray, gap: np.ndarray, z: np.ndarray) -> dict:
-    return {
-        "stationarity": float(np.max(np.abs(r_stat), initial=0.0)),
-        "primal": float(np.max(-gap, initial=0.0)),
-        "comp": float(np.max(np.abs(z * gap), initial=0.0)),
-    }
+def _residuals(r_stat: np.ndarray, gap: np.ndarray, z: np.ndarray) -> tuple[float, float, float]:
+    return float(np.abs(r_stat).max(initial=0.0)), float((-gap).max(initial=0.0)), float(np.abs(z * gap).max(initial=0.0))
 
 
 def kkt_residuals(qp: QpProblem, x: np.ndarray, z: np.ndarray) -> dict:
     """Stationarity, primal feasibility and complementarity of a candidate point."""
-    return _residuals(qp.H @ x + qp.g + qp.G_in.T @ z, qp.h_in - qp.G_in @ x, z)
+    return dict(zip(RESIDUAL_KEYS, _residuals(qp.H @ x + qp.g + qp.G_in.T @ z, qp.h_in - qp.G_in @ x, z)))
 
 
 def _objective(qp: QpProblem, x: np.ndarray) -> float:
@@ -115,7 +116,7 @@ def solve_qp(qp: QpProblem) -> QpSolution:
         mu = float(s @ z) / mi
 
         res = _residuals(r_d, h - gx, z)
-        err = max(res.values())
+        err = max(res)
         if err < 0.9 * best_err:
             best_err = err
             best = (x.copy(), z.copy())
@@ -126,28 +127,28 @@ def solve_qp(qp: QpProblem) -> QpSolution:
                 best = (x.copy(), z.copy())
             stalled += 1
         if err <= tol:
-            return QpSolution(x=x, z=z, status="optimal", objective=_objective(qp, x), iterations=iters, residuals=res)
+            return QpSolution(x=x, z=z, status="optimal", objective=_objective(qp, x), iterations=iters,
+                              residuals=dict(zip(RESIDUAL_KEYS, res)))
         if stalled >= 12:
             break
 
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.clip(z / np.maximum(s, 1e-16), 0.0, 1e18)
-        try:
-            # non-finite entries surface as non-finite steps, checked below
-            factor = scipy.linalg.cho_factor(H + G.T @ (w[:, None] * G), check_finite=False)
-        except scipy.linalg.LinAlgError:
+        # non-finite entries surface as non-finite steps, checked below
+        factor, info = dpotrf(H + G.T @ (w[:, None] * G), lower=0, clean=0)
+        if info != 0:
             break
+        s_safe = np.maximum(s, 1e-14)
 
         def newton_step(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            s_safe = np.maximum(s, 1e-14)
-            dx = scipy.linalg.cho_solve(factor, -r_d - G.T @ (rc / s_safe + w * r_i), check_finite=False)
+            dx = dpotrs(factor, -r_d - G.T @ (rc / s_safe + w * r_i), lower=0)[0]
             ds = -r_i - G @ dx
             dz = (rc - z * ds) / s_safe
             return dx, ds, dz
 
         # predictor
         dx_a, ds_a, dz_a = newton_step(-s * z)
-        if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(dz_a)) and np.all(np.isfinite(ds_a))):
+        if not np.isfinite(np.concatenate((dx_a, ds_a, dz_a))).all():
             break
         alpha_p = _max_step(s, ds_a)
         alpha_d = _max_step(z, dz_a)
@@ -157,9 +158,9 @@ def solve_qp(qp: QpProblem) -> QpSolution:
         # corrector; one step length for x, s and z keeps the residuals shrinking together
         rc = -s * z + sigma * mu - ds_a * dz_a
         dx, ds, dz = newton_step(rc)
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz)) and np.all(np.isfinite(ds))):
+        if not np.isfinite(np.concatenate((dx, ds, dz))).all():
             break
-        alpha = 0.99 * min(_max_step(s, ds), _max_step(z, dz))
+        alpha = 0.99 * _max_step(np.concatenate((s, z)), np.concatenate((ds, dz)))
         x = x + alpha * dx
         s = s + alpha * ds
         z = z + alpha * dz
@@ -171,7 +172,4 @@ def solve_qp(qp: QpProblem) -> QpSolution:
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0.0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+    return min(1.0, float(np.divide(-v, dv, out=np.ones_like(v), where=dv < 0.0).min()))

@@ -1,11 +1,18 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav.qp import TOL, QpProblem, kkt_residuals, solve_qp
+import semnav.mpc as mpc_mod
+import semnav.qp as qp_mod
+from semnav.mpc import MODE_CBF, MODE_CLASSIC, ControllerParams, build_qp, hold_trajectory
+from semnav.qp import ACCEPT_TOL, MAX_ITER, TOL, QpProblem, QpSolution, kkt_residuals, solve_qp
+from semnav.runner import run_closed_loop
+from semnav.scenario import MODE_NONSEMANTIC, load_scenario
 
 
 def box_qp(H, g, lo, hi):
@@ -191,3 +198,236 @@ class TestSolveQpProperties:
         sol = solve_qp(QpProblem(H=H, g=rng.normal(size=n), G_in=G, h_in=h))
         assert sol.degraded
         assert sol.residuals["primal"] >= -rhs - 1e-12
+
+
+def residuals_oracle(r_stat: np.ndarray, gap: np.ndarray, z: np.ndarray) -> dict:
+    return {
+        "stationarity": float(np.max(np.abs(r_stat), initial=0.0)),
+        "primal": float(np.max(-gap, initial=0.0)),
+        "comp": float(np.max(np.abs(z * gap), initial=0.0)),
+    }
+
+
+def max_step_oracle(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0.0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+
+
+def objective_oracle(qp: QpProblem, x: np.ndarray) -> float:
+    return float(0.5 * x @ qp.H @ x + qp.g @ x + qp.cost_offset)
+
+
+def solve_qp_oracle(qp: QpProblem) -> QpSolution:
+    """The interior point written with scipy.linalg's Cholesky wrappers, a
+    boolean-indexed step length per vector and a residual dict per iteration.
+
+    ``solve_qp`` must equal it bit for bit: same iterates, exits and residuals.
+    """
+    n = qp.g.shape[0]
+    mi = qp.h_in.shape[0]
+    if mi == 0:
+        raise ValueError("solve_qp needs at least one inequality row")
+    # large cost scales (e.g. slack penalties) set the numeric floor of the residuals
+    tol = max(TOL, 1e-12 * float(np.max(np.abs(qp.g), initial=1.0)))
+    H, g, G, h = qp.H, qp.g, qp.G_in, qp.h_in
+
+    # initial point: relaxed KKT solve (identity barrier, z = G x - h), then shift s, z positive
+    try:
+        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + G.T @ G + 1e-9 * np.eye(n)), G.T @ h - g)
+    except (ValueError, scipy.linalg.LinAlgError):
+        x = np.zeros(n)
+    z0 = G @ x - h
+    s = z0 + max(0.0, -float(z0.min())) + 1.0
+    z = s.copy()
+
+    best = None
+    best_err = np.inf
+    stalled = 0
+    iters = 0
+    for iters in range(1, MAX_ITER + 1):
+        gx = G @ x
+        r_d = H @ x + g + G.T @ z
+        r_i = gx + s - h
+        mu = float(s @ z) / mi
+
+        res = residuals_oracle(r_d, h - gx, z)
+        err = max(res.values())
+        if err < 0.9 * best_err:
+            best_err = err
+            best = (x.copy(), z.copy())
+            stalled = 0
+        else:
+            if err < best_err:
+                best_err = err
+                best = (x.copy(), z.copy())
+            stalled += 1
+        if err <= tol:
+            return QpSolution(x=x, z=z, status="optimal", objective=objective_oracle(qp, x), iterations=iters,
+                              residuals=res)
+        if stalled >= 12:
+            break
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.clip(z / np.maximum(s, 1e-16), 0.0, 1e18)
+        try:
+            # non-finite entries surface as non-finite steps, checked below
+            factor = scipy.linalg.cho_factor(H + G.T @ (w[:, None] * G), check_finite=False)
+        except scipy.linalg.LinAlgError:
+            break
+
+        def newton_step(rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            s_safe = np.maximum(s, 1e-14)
+            dx = scipy.linalg.cho_solve(factor, -r_d - G.T @ (rc / s_safe + w * r_i), check_finite=False)
+            ds = -r_i - G @ dx
+            dz = (rc - z * ds) / s_safe
+            return dx, ds, dz
+
+        # predictor
+        dx_a, ds_a, dz_a = newton_step(-s * z)
+        if not (np.all(np.isfinite(dx_a)) and np.all(np.isfinite(dz_a)) and np.all(np.isfinite(ds_a))):
+            break
+        alpha_p = max_step_oracle(s, ds_a)
+        alpha_d = max_step_oracle(z, dz_a)
+        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / mi
+        sigma = min(1.0, (mu_aff / mu) ** 3) if mu > 0 else 0.0
+
+        # corrector; one step length for x, s and z keeps the residuals shrinking together
+        rc = -s * z + sigma * mu - ds_a * dz_a
+        dx, ds, dz = newton_step(rc)
+        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dz)) and np.all(np.isfinite(ds))):
+            break
+        alpha = 0.99 * min(max_step_oracle(s, ds), max_step_oracle(z, dz))
+        x = x + alpha * dx
+        s = s + alpha * ds
+        z = z + alpha * dz
+
+    x, z = best if best is not None else (x, z)
+    res = residuals_oracle(qp.H @ x + qp.g + qp.G_in.T @ z, qp.h_in - qp.G_in @ x, z)
+    status = "optimal" if max(res.values()) <= ACCEPT_TOL else "max_iter"
+    return QpSolution(x=x, z=z, status=status, objective=objective_oracle(qp, x), iterations=iters, residuals=res)
+
+
+def assert_same_solve(got: QpSolution, want: QpSolution):
+    """Bit for bit: x and z bytes, iterations, status, residuals and objective (a NaN equals a NaN)."""
+    assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+    assert got.z.shape == want.z.shape and got.z.tobytes() == want.z.tobytes()
+    assert (got.iterations, got.status) == (want.iterations, want.status)
+    assert repr((got.residuals, got.objective)) == repr((want.residuals, want.objective))
+
+
+class GivenField:
+    """Barrier values and gradients at the operating states, as given: all the linearization reads."""
+
+    def __init__(self, h: np.ndarray, grad: np.ndarray):
+        self.h, self.grad = h, grad
+
+    def query(self, xy):
+        return self.h, self.grad
+
+
+WORKSPACE = (-1.0, -2.5, 5.0, 3.5)
+
+
+def controller_qp(seed: int, T: int, mode: str, gamma_bar: float, h_low: float, outside: bool) -> QpProblem:
+    """The controller's QP with random linearization data.
+
+    Input box rows, workspace rows (violated at k = 0 when ``outside``),
+    slacked decay rows in CBF mode and hard barrier rows in classic mode,
+    infeasible when the barrier values reach down to ``h_low`` < 0.
+    """
+    rng = np.random.default_rng(seed)
+    params = ControllerParams(horizon=T, gamma_bar=gamma_bar)
+    x_t = np.array([rng.uniform(-0.5, 4.5), rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0)])
+    if outside:
+        x_t[0] = WORKSPACE[2] + rng.uniform(0.01, 0.5)
+    prev = hold_trajectory(x_t, T)
+    prev.states = prev.states + np.cumsum(rng.uniform(-0.1, 0.1, (T + 1, 3)), axis=0)
+    field = GivenField(rng.uniform(h_low, 1.8, T + 1), rng.normal(size=(T + 1, 2)))
+    goal = np.array([rng.uniform(-0.5, 4.5), rng.uniform(-2.0, 3.0), 0.0])
+    return build_qp(params, x_t, prev, field, goal, mode, workspace=WORKSPACE)
+
+
+class TestBitIdentityWithOracle:
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 10), mode=st.sampled_from([MODE_CBF, MODE_CLASSIC]),
+           gamma_bar=st.floats(0.01, 1.0), h_low=st.sampled_from([0.05, -0.3, -2.0]), outside=st.booleans())
+    def test_controller_shaped_qps(self, seed, T, mode, gamma_bar, h_low, outside):
+        qp = controller_qp(seed, T, mode, gamma_bar, h_low, outside)
+        assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    @pytest.mark.parametrize("name", ["g", "h_in", "G_in"])
+    def test_nonfinite_and_huge_entries(self, name, value):
+        for mode in (MODE_CBF, MODE_CLASSIC):
+            qp = controller_qp(3, 4, mode, 0.1, -0.3, False)
+            getattr(qp, name).flat[5] = value
+            assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
+
+    @pytest.mark.parametrize("path, change, early_exits", [
+        ("wall_sweep.json", lambda sc: replace(sc, controller=replace(sc.controller, gamma_bar=0.01)), 1),
+        ("drawer_gap.json", lambda sc: replace(sc, mode=MODE_NONSEMANTIC), 0),
+    ], ids=["wall_sweep_gamma_0.01", "drawer_gap_nonsemantic"])
+    def test_closed_loop_solves(self, monkeypatch, scenario_dir, path, change, early_exits):
+        captured = []
+
+        def recording(qp):
+            captured.append(qp)
+            return solve_qp(qp)
+
+        monkeypatch.setattr(mpc_mod, "solve_qp", recording)
+        run_closed_loop(change(load_scenario(scenario_dir / path)))
+        assert len(captured) >= 40
+        sols = [solve_qp(qp) for qp in captured]
+        for qp, sol in zip(captured, sols):
+            assert_same_solve(sol, solve_qp_oracle(qp))
+        # solves that left the loop above TOL (a stall) and still met ACCEPT_TOL
+        assert sum(not sol.degraded and max(sol.residuals.values()) > TOL for sol in sols) >= early_exits
+
+
+class TestExitPaths:
+    """The loop's early exits return the best iterate; it counts as optimal only under ACCEPT_TOL."""
+
+    @staticmethod
+    def solve_recording_errors(monkeypatch, qp):
+        errors = []
+        residuals = qp_mod._residuals
+
+        def recording(*args):
+            res = residuals(*args)
+            errors.append(max(res))
+            return res
+
+        monkeypatch.setattr(qp_mod, "_residuals", recording)
+        sol = solve_qp(qp)
+        return sol, errors[:-1]  # the last call rates the returned point
+
+    def test_cholesky_failure_returns_the_start(self, monkeypatch):
+        # H = 0 and one row on x[0] leave x[1] without curvature: M = H + G' W G is singular
+        qp = QpProblem(H=np.zeros((2, 2)), g=np.array([1.0, 0.0]), G_in=np.array([[-1.0, 0.0]]), h_in=np.zeros(1))
+        sol, errors = self.solve_recording_errors(monkeypatch, qp)
+        assert sol.iterations == 1 and len(errors) == 1
+        assert sol.status == "max_iter"
+        assert max(sol.residuals.values()) == errors[0] > ACCEPT_TOL
+        assert sol.residuals == kkt_residuals(qp, sol.x, sol.z)
+        np.testing.assert_allclose(sol.x, [-1.0, 0.0], atol=1e-8)  # relaxed KKT start
+        assert_same_solve(sol, solve_qp_oracle(qp))
+
+    def test_stall_returns_the_best_iterate(self, monkeypatch):
+        # x <= -1 and x >= 1: no iterate improves on the best by 10% for 12 iterations
+        qp = QpProblem(H=np.array([[2.0]]), g=np.zeros(1), G_in=np.array([[1.0], [-1.0]]), h_in=np.array([-1.0, -1.0]))
+        sol, errors = self.solve_recording_errors(monkeypatch, qp)
+        assert sol.iterations == len(errors) == 13 < MAX_ITER
+        assert max(sol.residuals.values()) == min(errors) > ACCEPT_TOL
+        assert sol.residuals == kkt_residuals(qp, sol.x, sol.z)
+        assert sol.status == "max_iter"
+        assert_same_solve(sol, solve_qp_oracle(qp))
+
+    def test_stalled_iterate_is_optimal_under_accept_tol(self, monkeypatch):
+        qp = QpProblem(H=np.array([[2.0]]), g=np.zeros(1), G_in=np.array([[1.0], [-1.0]]), h_in=np.array([-1.0, -1.0]))
+        worst = max(solve_qp(qp).residuals.values())
+        monkeypatch.setattr(qp_mod, "ACCEPT_TOL", worst)
+        sol = solve_qp(qp)
+        assert sol.status == "optimal" and sol.iterations == 13
