@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one scenario closed-loop")
     _add_common(p_run)
     p_run.add_argument("--gamma-bar", type=float, default=None, help="override the barrier decay rate")
-    p_run.add_argument("--export-tsdf", action="store_true", help="also dump the final fused map (raw f32 + text header)")
+    p_run.add_argument("--export-tsdf", action="store_true", help="also dump the final fused map block (raw f32 + text header)")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the scenario for several decay rates")

@@ -62,9 +62,9 @@ class ObjectRecord:
 
 @dataclass
 class GlobalTsdf:
-    """Workspace-covering min-fused TSDF with per-voxel owning object id (-1 none)."""
+    """Min-fused TSDF block of the workspace grid with per-voxel owning object id (-1 none)."""
 
-    origin: np.ndarray  # (3,)
+    origin: np.ndarray  # (3,) the block's low corner on the lattice
     resolution: float
     values: np.ndarray  # (nx, ny, nz)
     owner: np.ndarray  # (nx, ny, nz) int
@@ -261,37 +261,40 @@ def remove_object(library: ObjectLibrary, object_id: int) -> None:
 
 
 def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
-    """Per-voxel minimum over object TSDFs across the workspace grid.
+    """Per-voxel minimum over object TSDFs on the block of the workspace grid they reach.
 
-    Voxels an object never observed contribute the truncation value, which
-    they already hold: object grids are spawned and grown with it as their
-    background, and integration writes only voxels it gives weight. The
-    owner is the object attaining a value strictly below the background,
-    lowest id winning ties (objects are visited in ascending id order).
+    In x and y the block is the union of the object grids clipped to the
+    workspace grid (zero extent when none reaches it), in z every workspace
+    layer; voxels outside it are unobserved. Voxels an object never observed
+    contribute the truncation value, which they already hold: object grids are
+    spawned and grown with it as their background, and integration writes only
+    voxels it gives weight. The owner is the object attaining a value strictly
+    below the background; ids ascend, so the lowest id wins ties.
     """
     tau = library.params.truncation
     res = library.params.resolution
-    values = np.full(library.grid_dims, tau, dtype=np.float64)
-    owner = np.full(library.grid_dims, -1, dtype=np.int32)
     g_lo = np.round(library.grid_origin / res).astype(int)
-    g_dims = np.array(library.grid_dims)
-
+    g_hi = g_lo + library.grid_dims
+    parts = []  # (record, its lattice origin, low and high corner of its overlap with the grid)
     for rec in library.objects():
         o_lo = rec.tsdf.index_origin()
-        o_dims = np.array(rec.tsdf.dims)
-        lo = np.maximum(o_lo, g_lo)
-        hi = np.minimum(o_lo + o_dims, g_lo + g_dims)
-        if np.any(lo >= hi):
-            continue
-        gsl = tuple(slice(lo[a] - g_lo[a], hi[a] - g_lo[a]) for a in range(3))
+        lo, hi = np.maximum(o_lo, g_lo), np.minimum(o_lo + rec.tsdf.dims, g_hi)
+        if np.all(lo < hi):
+            parts.append((rec, o_lo, lo, hi))
+    b_lo = np.append(np.min([p[2] for p in parts] or [g_lo], axis=0)[:2], g_lo[2])
+    b_hi = np.append(np.max([p[3] for p in parts] or [g_lo], axis=0)[:2], g_hi[2])
+    values = np.full(b_hi - b_lo, tau, dtype=np.float64)
+    owner = np.full(b_hi - b_lo, -1, dtype=np.int32)
+    for rec, o_lo, lo, hi in parts:
+        bsl = tuple(slice(lo[a] - b_lo[a], hi[a] - b_lo[a]) for a in range(3))
         osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
         cand = rec.tsdf.values[osl]
-        region = values[gsl]
+        region = values[bsl]
         better = cand < region
         np.copyto(region, cand, where=better)
-        np.copyto(owner[gsl], rec.id, where=better)
+        np.copyto(owner[bsl], rec.id, where=better)
 
-    return GlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
+    return GlobalTsdf(origin=b_lo * res, resolution=res, values=values, owner=owner)
 
 
 def export_global_tsdf(global_tsdf: GlobalTsdf, path_stem: str) -> tuple[str, str]:

@@ -24,6 +24,7 @@ from .barrier import (
 )
 from .consistency import compute_delta, update_consistency
 from .geometry import point_box_distance, rot2d
+from .grids import Grid2D
 from .mapping import (
     GlobalTsdf,
     ObjectLibrary,
@@ -114,9 +115,20 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     )
 
 
-def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
+def _workspace_projection(library: ObjectLibrary, theta_z: float):
+    """Fused block, and its 2.5D projection and owners padded to the workspace grid as unobserved columns."""
     global_map = fuse_global_tsdf(library)
-    m25, owner = project_2p5d(global_map, scenario.cbf.theta_z)
+    block, block_owner = project_2p5d(global_map, theta_z)
+    m25 = Grid2D.full(library.grid_origin[:2], block.resolution, library.grid_dims[:2], library.params.truncation)
+    owner = np.full(m25.dims, -1, dtype=np.int32)
+    i, j = np.round((block.origin - m25.origin) / block.resolution).astype(int)
+    sl = np.s_[i : i + block.dims[0], j : j + block.dims[1]]
+    m25.values[sl], owner[sl] = block.values, block_owner
+    return global_map, m25, owner
+
+
+def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
+    global_map, m25, owner = _workspace_projection(library, scenario.cbf.theta_z)
     if scenario.mode == sc.MODE_SEMANTIC:
         boundary = extract_labeled_boundary(
             m25, owner, scenario.cbf.theta_zero, library, scenario.consistency_override

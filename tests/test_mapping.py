@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import semnav.runner as runner_mod
+from semnav.barrier import project_2p5d
 from semnav.consistency import ConsistencyParams, initial_state
 from semnav.grids import VoxelGrid3D
 from semnav.mapping import (
     FORBIDDEN_COST,
+    GlobalTsdf,
     MapParams,
     ObjectLibrary,
     ObjectRecord,
@@ -79,6 +82,69 @@ def dense_integrate(record, obs, sensor_origin, params):
     record.n_points = total
     record.tsdf = grid
     return record
+
+
+def fuse_global_tsdf_oracle(library):
+    """Per-voxel minimum over object TSDFs across the whole workspace grid.
+
+    Every workspace voxel starts at the truncation value with owner -1; each
+    object, in ascending id order, writes the values strictly below the
+    current ones over its overlap with the grid.
+    """
+    tau = library.params.truncation
+    res = library.params.resolution
+    values = np.full(library.grid_dims, tau, dtype=np.float64)
+    owner = np.full(library.grid_dims, -1, dtype=np.int32)
+    g_lo = np.round(library.grid_origin / res).astype(int)
+    g_dims = np.array(library.grid_dims)
+
+    for rec in library.objects():
+        o_lo = rec.tsdf.index_origin()
+        o_dims = np.array(rec.tsdf.dims)
+        lo = np.maximum(o_lo, g_lo)
+        hi = np.minimum(o_lo + o_dims, g_lo + g_dims)
+        if np.any(lo >= hi):
+            continue
+        gsl = tuple(slice(lo[a] - g_lo[a], hi[a] - g_lo[a]) for a in range(3))
+        osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
+        cand = rec.tsdf.values[osl]
+        region = values[gsl]
+        better = cand < region
+        np.copyto(region, cand, where=better)
+        np.copyto(owner[gsl], rec.id, where=better)
+
+    return GlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
+
+
+def assert_block_matches_oracle(library, theta_z):
+    """The block is the oracle on its extent, the oracle is unobserved off it, and the padded projection is the oracle's."""
+    block = fuse_global_tsdf(library)
+    oracle = fuse_global_tsdf_oracle(library)
+    res = library.params.resolution
+    g_lo = np.round(library.grid_origin / res).astype(int)
+    b_lo = np.round(block.origin / res).astype(int)
+    assert np.array_equal(block.origin, b_lo * res)
+    # inside the workspace grid, every layer in z
+    assert np.all(b_lo >= g_lo) and np.all(b_lo + block.dims <= g_lo + library.grid_dims)
+    assert b_lo[2] == g_lo[2] and block.dims[2] == library.grid_dims[2]
+    sl = tuple(slice(b_lo[a] - g_lo[a], b_lo[a] - g_lo[a] + block.dims[a]) for a in range(3))
+    assert block.values.dtype == oracle.values.dtype and block.owner.dtype == oracle.owner.dtype
+    assert block.values.tobytes() == oracle.values[sl].tobytes()
+    assert block.owner.tobytes() == oracle.owner[sl].tobytes()
+    outside = np.ones(library.grid_dims, dtype=bool)
+    outside[sl] = False
+    assert np.all(oracle.values[outside] == library.params.truncation)
+    assert np.all(oracle.owner[outside] == -1)
+
+    global_map, m25, owner = runner_mod._workspace_projection(library, theta_z)
+    ref, ref_owner = project_2p5d(oracle, theta_z)
+    assert global_map.values.tobytes() == block.values.tobytes()
+    assert m25.origin.tobytes() == ref.origin.tobytes() and m25.resolution == ref.resolution
+    assert m25.values.dtype == ref.values.dtype and m25.values.shape == ref.values.shape
+    assert m25.values.tobytes() == ref.values.tobytes()
+    assert owner.dtype == ref_owner.dtype and owner.shape == ref_owner.shape
+    assert owner.tobytes() == ref_owner.tobytes()
+    return block, m25, owner
 
 
 def loop_association(observations, library):
@@ -389,6 +455,67 @@ class TestFusion:
         assert b.id != a.id
 
 
+class TestBlockFusion:
+    WORKSPACE = (0.0, -1.0, 3.0, 1.0)
+    # point-cluster centres straddling x = xmin, y = ymin, x = xmax, y = ymax, then inside
+    STRADDLE = ([0.0, 0.0], [1.5, -1.0], [3.0, 0.0], [1.5, 1.0], [1.5, 0.0])
+
+    def _library(self):
+        return ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
+                             workspace=self.WORKSPACE, height=0.5)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), where=st.lists(st.integers(0, 5), max_size=5),
+           twins=st.booleans(), grow=st.booleans())
+    def test_block_matches_full_grid_oracle(self, seed, where, twins, grow):
+        # each object straddles one workspace edge, sits inside, or (5) lies
+        # wholly outside the grid; twins spawn from one point set (exact
+        # ties), grow integrates a displaced second view
+        rng = np.random.default_rng(seed)
+        library = self._library()
+        sensor = (1.5, 0.0, 2.0)
+        for k, w in enumerate(where):
+            if not (twins and k % 2):
+                center = [6.0, 4.0] if w == 5 else self.STRADDLE[w]
+                center = np.append(np.add(center, rng.uniform(-0.3, 0.3, size=2)), 0.25)
+                pts = center + rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 30)), 3))
+                moved = pts + np.append(rng.uniform(-0.4, 0.4, size=2), 0.0)
+            rec = spawn_object(make_observation(pts, instance_id=k), library, sensor)
+            if grow:
+                integrate_observation(rec, make_observation(moved), sensor, library.params)
+        assert_block_matches_oracle(library, theta_z=0.5)
+
+    def test_block_reaches_each_workspace_edge(self):
+        library = self._library()
+        for k, center in enumerate(self.STRADDLE[:4]):
+            pts = np.array([[center[0], center[1], 0.25], [center[0] + 0.05, center[1] + 0.05, 0.3]])
+            spawn_object(make_observation(pts, instance_id=k), library, (1.5, 0.0, 2.0))
+        block, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
+        np.testing.assert_array_equal(block.origin, library.grid_origin)
+        assert block.dims == library.grid_dims
+
+    def test_block_covers_only_the_objects_columns(self):
+        library = self._library()
+        spawn_object(make_observation([[1.5, 0.0, 0.25]]), library, (1.5, 0.0, 2.0))
+        block, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
+        assert block.origin[0] > library.grid_origin[0] and block.origin[1] > library.grid_origin[1]
+        assert block.dims[0] < library.grid_dims[0] and block.dims[1] < library.grid_dims[1]
+
+    @pytest.mark.parametrize("case", ["empty", "removed", "outside"])
+    def test_zero_extent_block_projects_to_unobserved(self, case):
+        library = self._library()
+        if case == "removed":
+            rec = spawn_object(make_observation([[1.5, 0.0, 0.25]]), library, (1.5, 0.0, 2.0))
+            remove_object(library, rec.id)
+        elif case == "outside":
+            spawn_object(make_observation([[6.0, 4.0, 0.25]]), library, (1.5, 0.0, 2.0))
+        block, m25, owner = assert_block_matches_oracle(library, theta_z=0.5)
+        assert block.dims == (0, 0, library.grid_dims[2])
+        np.testing.assert_array_equal(block.origin, library.grid_origin)
+        assert m25.dims == library.grid_dims[:2]
+        assert np.all(m25.values == library.params.truncation) and np.all(owner == -1)
+
+
 class TestSpawnRemove:
     def test_spawn_static_prior(self, small_library):
         rec = spawn_object(make_observation([[1.0, 0, 0.2]], stationarity=1), small_library, (0, 0, 0.3))
@@ -481,15 +608,22 @@ def test_map_params_reject_non_positive_or_non_finite(field, value):
 
 
 def test_export_global_tsdf_roundtrip(tmp_path, small_library):
-    spawn_object(make_observation([[1.0, 0, 0.2]]), small_library, (0, 0, 0.3))
-    g = fuse_global_tsdf(small_library)
-    data_path, meta_path = export_global_tsdf(g, str(tmp_path / "map"))
-    meta = dict(line.split(": ", 1) for line in open(meta_path).read().splitlines())
-    dims = tuple(int(t) for t in meta["dims"].split())
-    assert dims == g.dims
-    raw = np.fromfile(data_path, dtype=np.float32).reshape(dims)
-    np.testing.assert_allclose(raw, g.values.astype(np.float32))
-    assert float(meta["resolution"]) == g.resolution
+    # an empty library gives a zero-extent block at the workspace origin; one
+    # object gives a block off the workspace corner
+    for stem in ("empty", "one"):
+        if stem == "one":
+            spawn_object(make_observation([[1.0, 0, 0.2]]), small_library, (0, 0, 0.3))
+        g = fuse_global_tsdf(small_library)
+        assert np.any(g.origin != small_library.grid_origin) == (stem == "one")
+        data_path, meta_path = export_global_tsdf(g, str(tmp_path / stem))
+        meta = dict(line.split(": ", 1) for line in open(meta_path).read().splitlines())
+        dims = tuple(int(t) for t in meta["dims"].split())
+        assert dims == g.dims and (np.prod(dims) == 0) == (stem == "empty")
+        origin = np.array([float(t) for t in meta["origin"].split()])
+        assert origin.tobytes() == g.origin.tobytes()
+        raw = np.fromfile(data_path, dtype=np.float32).reshape(dims)
+        np.testing.assert_allclose(raw, g.values.astype(np.float32))
+        assert float(meta["resolution"]) == g.resolution
 
 
 def test_full_scan_association_stable_over_motion():

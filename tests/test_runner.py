@@ -3,9 +3,13 @@ import pytest
 from dataclasses import replace
 
 import semnav.runner as runner_mod
+from semnav.barrier import project_2p5d
+from semnav.mapping import fuse_global_tsdf
 from semnav.runner import Metrics, RunRecord, TickRow, compute_metrics, run_closed_loop
 from semnav.scenario import MODE_NONSEMANTIC, MODE_SEMANTIC, Scenario, load_scenario
 from semnav.world import ControlInput, RobotState, WorldObject
+
+from test_mapping import fuse_global_tsdf_oracle
 
 
 def open_scenario(**kw):
@@ -62,14 +66,31 @@ class TestClosedLoop:
         rec = run_closed_loop(sc)
         assert compute_metrics(rec).goal_reached
 
-    def test_field_snapshots_recorded(self):
+    def test_field_snapshots_recorded(self, monkeypatch):
+        libraries = []
+
+        def fuse(library):
+            libraries.append(library)
+            return fuse_global_tsdf(library)
+
+        monkeypatch.setattr(runner_mod, "fuse_global_tsdf", fuse)
         sc = open_scenario(snapshot_ticks=(0, 3), duration=2.0,
                            objects=[WorldObject(id=0, center=(2.5, 1.0), yaw=0.0,
                                                 half_extents=(0.2, 0.3, 0.3), class_id=1, stationarity=1)])
         rec = run_closed_loop(sc)
         assert set(rec.field_snapshots) == {0, 3}
         assert rec.final_field is not None
-        assert rec.final_global is not None
+        # the last fused block is the final library's, and lies inside its workspace grid
+        library = libraries[-1]
+        assert library.records and all(lib is library for lib in libraries)
+        want = fuse_global_tsdf(library)
+        g = rec.final_global
+        assert g.origin.tobytes() == want.origin.tobytes() and g.dims == want.dims
+        assert g.values.tobytes() == want.values.tobytes() and g.owner.tobytes() == want.owner.tobytes()
+        res = library.params.resolution
+        lo = np.round((g.origin - library.grid_origin) / res).astype(int)
+        assert np.all(lo >= 0) and np.all(lo + g.dims <= library.grid_dims)
+        assert 0 < g.dims[0] < library.grid_dims[0] and 0 < g.dims[1] < library.grid_dims[1]
 
 
 class TestMetrics:
@@ -172,3 +193,45 @@ def test_distance_cache_matches_fresh_field_every_tick(scenario_dir, monkeypatch
     rec = run_closed_loop(load_scenario(scenario_dir / "drawer_shift.json"))
     assert len(reused) == len(rec.rows) and sum(reused) > 0
     assert rec.removed_objects and [t for t, _ in rec.spawned_objects if t > 0.0]
+
+
+def checked_projection(monkeypatch, ticks):
+    """Wrap the runner's fused projection so every tick compares it with the full-grid oracle's."""
+    real = runner_mod._workspace_projection
+
+    def checked(library, theta_z):
+        global_map, m25, owner = real(library, theta_z)
+        ref, ref_owner = project_2p5d(fuse_global_tsdf_oracle(library), theta_z)
+        assert m25.origin.tobytes() == ref.origin.tobytes()
+        assert m25.values.dtype == ref.values.dtype and m25.values.shape == ref.values.shape
+        assert m25.values.tobytes() == ref.values.tobytes()
+        assert owner.dtype == ref_owner.dtype and owner.tobytes() == ref_owner.tobytes()
+        unobserved = bool(np.all(m25.values == library.params.truncation) and np.all(owner == -1))
+        ticks.append((global_map.dims, library.grid_dims, unobserved))
+        return global_map, m25, owner
+
+    monkeypatch.setattr(runner_mod, "_workspace_projection", checked)
+
+
+@pytest.mark.parametrize("name, seed", [("drawer_shift.json", None), ("wall_sweep.json", 311256609)])
+def test_block_projection_matches_full_grid_oracle_every_tick(scenario_dir, monkeypatch, name, seed):
+    # drawer_shift teleports a drawer, removes its mapped object and spawns
+    # new ones; wall_sweep maps one object that covers a small block
+    sc = load_scenario(scenario_dir / name)
+    if seed is not None:
+        sc = replace(sc, seed=seed)
+    ticks = []
+    checked_projection(monkeypatch, ticks)
+    rec = run_closed_loop(sc)
+    assert len(ticks) == len(rec.rows)
+    # some ticks fuse a block smaller than the workspace
+    assert any(b[0] * b[1] < g[0] * g[1] for b, g, _ in ticks)
+
+
+def test_open_goal_projects_an_unobserved_workspace(scenario_dir, monkeypatch):
+    # no objects: every tick fuses a zero-extent block and pads it to all truncation, no owner
+    ticks = []
+    checked_projection(monkeypatch, ticks)
+    rec = run_closed_loop(load_scenario(scenario_dir / "open_goal.json"))
+    assert len(ticks) == len(rec.rows) > 0
+    assert all(b == (0, 0, g[2]) and unobserved for b, g, unobserved in ticks)
