@@ -24,48 +24,42 @@ def rot2d(yaw: float) -> np.ndarray:
 def ray_box_intersect(
     origins: np.ndarray,
     directions: np.ndarray,
-    center: np.ndarray,
-    yaw: float,
+    centers: np.ndarray,
+    yaws: list[float],
     half_extents: np.ndarray,
 ) -> np.ndarray:
-    """Nearest-hit parameters for rays against one oriented box.
+    """Nearest-hit parameters for rays against oriented boxes: (n_boxes, n_rays).
 
-    The box is axis-aligned in its own frame, rotated about z by ``yaw`` and
-    centred at ``center`` (z component included). Returns an array of entry
-    parameters t >= 0, with +inf for rays that miss. Directions must be unit
-    length for t to be metric distance.
+    Box k is axis-aligned in its own frame, rotated about z by ``yaws[k]`` and
+    centred at ``centers[k]`` (z component included), with half sizes
+    ``half_extents[k]``. Entries are parameters t >= 0, +inf where the ray
+    misses. Directions must be unit length for t to be metric distance;
+    ``origins`` is one row per ray or a single row shared by all.
     """
-    origins = np.atleast_2d(origins)
-    directions = np.atleast_2d(directions)
+    # libm per box: NumPy's vectorized cos and sin may round differently on some CPUs
+    c = np.array([math.cos(y) for y in yaws])[:, None]
+    s = np.array([math.sin(y) for y in yaws])[:, None]
+    rel = np.atleast_2d(origins)[None, :, :] - np.asarray(centers)[:, None, :]
+    half_extents = np.asarray(half_extents)
+    w = np.atleast_2d(directions)
+    # rotate into each box frame (inverse yaw); z unchanged
+    o = (c * rel[..., 0] + s * rel[..., 1], -s * rel[..., 0] + c * rel[..., 1], rel[..., 2])
+    d = (c * w[:, 0] + s * w[:, 1], -s * w[:, 0] + c * w[:, 1], w[None, :, 2])
 
-    c, s = math.cos(yaw), math.sin(yaw)
-    rel = origins - center[None, :]
-    # rotate into box frame (inverse yaw); z unchanged
-    ox = c * rel[:, 0] + s * rel[:, 1]
-    oy = -s * rel[:, 0] + c * rel[:, 1]
-    oz = rel[:, 2]
-    dx = c * directions[:, 0] + s * directions[:, 1]
-    dy = -s * directions[:, 0] + c * directions[:, 1]
-    dz = directions[:, 2]
-
-    o = np.stack([ox, oy, oz], axis=1)
-    d = np.stack([dx, dy, dz], axis=1)
-
-    # slab test with divide-by-zero handled via inf arithmetic
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t1 = (-half_extents[None, :] - o) * inv
-        t2 = (half_extents[None, :] - o) * inv
-    t_lo = np.minimum(t1, t2)
-    t_hi = np.maximum(t1, t2)
-    # parallel rays: inside slab -> (-inf, inf), outside -> empty
-    parallel = d == 0.0
-    inside = np.abs(o) <= half_extents[None, :]
-    t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), t_lo)
-    t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), t_hi)
-
-    t_near = t_lo.max(axis=1)
-    t_far = t_hi.min(axis=1)
+    # slab test one axis at a time, divide-by-zero handled via inf arithmetic;
+    # the axes combine in x, y, z order, which fixes the sign of a zero t
+    for a in range(3):
+        h = half_extents[:, a, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d[a]
+            t1 = (-h - o[a]) * inv
+            t2 = (h - o[a]) * inv
+        # parallel rays: inside slab -> (-inf, inf), outside -> empty
+        parallel = d[a] == 0.0
+        inside = np.abs(o[a]) <= h
+        lo = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+        hi = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+        t_near, t_far = (lo, hi) if a == 0 else (np.maximum(t_near, lo), np.minimum(t_far, hi))
     hit = (t_near <= t_far) & (t_far >= 0.0)
     t = np.where(t_near >= 0.0, t_near, t_far)  # origin inside box -> exit point
     return np.where(hit, t, np.inf)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import math
+
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .consistency import ConsistencyParams, GaussianBetaState, initial_state
 from .grids import VoxelGrid3D, snap_to_lattice
@@ -120,6 +121,59 @@ def segment_observations(cloud: SemanticPointCloud) -> list[Observation]:
     return out
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of a finite rectangular cost matrix: (rows, cols), sorted by row.
+
+    scipy.optimize.linear_sum_assignment ported line for line, its tie and
+    ordering rules included, so the two return the same pairs. Plain Python
+    over ``cost.tolist()``: one row per observation, one column per object.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = len(c), len(c[0]) if c else 0
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # filled in reverse, so a constant matrix gives the identity
+        remaining = list(range(nc - 1, -1, -1))
+        sr, sc, spc = [False] * nr, [False] * nc, [math.inf] * nc
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            sr[i] = True
+            index, lowest, ci, ui = -1, math.inf, c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                # among equal costs prefer a free column, which ends the path
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val, j = lowest, remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(nr):
+            if sr[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if sc[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    pairs = sorted((r, k) for k, r in enumerate(col4row)) if transpose else list(enumerate(col4row))
+    return [r for r, _ in pairs], [k for _, k in pairs]
+
+
 def associate_observations(
     observations: list[Observation],
     library: ObjectLibrary,
@@ -128,7 +182,9 @@ def associate_observations(
 
     Pairs with mismatched class or distance beyond the gate are forbidden.
     Among valid pairings the match count is maximized and total distance
-    minimized (Hungarian assignment over a large-cost-padded matrix).
+    minimized over a large-cost-padded matrix by Crouse's shortest augmenting
+    path (D. F. Crouse, "On implementing 2D rectangular assignment
+    algorithms", IEEE Trans. Aerospace and Electronic Systems 52(4), 2016).
 
     Returns (matches [(obs_idx, object_id)], unmatched_obs_idx).
     """
@@ -142,10 +198,9 @@ def associate_observations(
     same_class = np.array([ob.class_id for ob in observations])[:, None] == [rec.class_id for rec in objs]
     cost = np.where(same_class & (d <= library.params.gate), d, FORBIDDEN_COST)
 
-    rows, cols = linear_sum_assignment(cost)
-    ok = cost[rows, cols] < FORBIDDEN_COST
-    matches = [(int(r), objs[c].id) for r, c in zip(rows[ok], cols[ok])]
-    return matches, np.flatnonzero(np.bincount(rows[ok], minlength=len(observations)) == 0).tolist()
+    matches = [(r, objs[c].id) for r, c in zip(*_linear_sum_assignment(cost)) if cost[r, c] < FORBIDDEN_COST]
+    matched = {r for r, _ in matches}
+    return matches, [i for i in range(len(observations)) if i not in matched]
 
 
 def integrate_observation(

@@ -192,16 +192,11 @@ def render_depth(
 
     origin = np.array([pose.x, pose.y, camera.mount_height])
     dirs = camera.ray_directions(pose.theta)
-    n_rays = dirs.shape[0]
-    origins = np.broadcast_to(origin, (n_rays, 3))
-
-    best_t = np.full(n_rays, np.inf)
-    best_obj = np.full(n_rays, -1, dtype=int)
-    for idx, obj in enumerate(world):
-        t = ray_box_intersect(origins, dirs, obj.center3, obj.yaw, np.asarray(obj.half_extents, dtype=float))
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_obj = np.where(closer, idx, best_obj)
+    t = ray_box_intersect(origin, dirs, np.array([o.center3 for o in world]), [o.yaw for o in world],
+                          np.array([o.half_extents for o in world], dtype=float))
+    # argmin keeps the first of equal hits, so the earlier box in the list wins
+    best_obj = t.argmin(axis=0)
+    best_t = t[best_obj, np.arange(dirs.shape[0])]
 
     hit = np.isfinite(best_t) & (best_t <= camera.max_range) & (best_t > 0.0)
     if not hit.any():

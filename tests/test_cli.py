@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from semnav.cli import main
+
+from conftest import REPO_ROOT
 
 
 def test_validate_ok(scenario_dir, capsys):
@@ -68,3 +73,14 @@ def test_sweep_checks_every_gamma_before_the_first_run(scenario_dir, tmp_path, c
     assert rc == 2
     assert "controller.gamma_bar: " in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # assignment lives in semnav.mapping; scipy.optimize would add its whole solver stack to every start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, semnav, semnav.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

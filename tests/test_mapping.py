@@ -17,6 +17,7 @@ from semnav.mapping import (
     MapParams,
     ObjectLibrary,
     ObjectRecord,
+    _linear_sum_assignment,
     associate_observations,
     export_global_tsdf,
     fuse_global_tsdf,
@@ -270,6 +271,25 @@ class TestAssociation:
         obs = [make_observation(c, instance_id=k, class_id=int(rng.integers(n_classes)))
                for k, c in enumerate(draw(n_obs))]
         assert associate_observations(obs, library) == loop_association(obs, library)
+
+    @settings(max_examples=400)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 10), n_cols=st.integers(0, 10),
+           family=st.sampled_from(["float", "small_int", "lattice", "forbidden"]))
+    def test_assignment_matches_scipy(self, seed, n_rows, n_cols, family):
+        # ties (small integers, quarter-metre distances, forbidden pairs) are
+        # where the column order and the free-column preference pick the pairs
+        rng = np.random.default_rng(seed)
+        shape = (n_rows, n_cols)
+        if family == "float":
+            cost = rng.uniform(0.0, 3.0, shape)
+        elif family == "small_int":
+            cost = rng.integers(0, 4, shape).astype(float)
+        elif family == "lattice":
+            cost = np.round(rng.uniform(0.0, 2.0, shape) * 4) / 4
+        else:
+            cost = np.where(rng.uniform(size=shape) < 0.5, FORBIDDEN_COST, rng.uniform(0.0, 1.5, shape))
+        rows, cols = linear_sum_assignment(cost)
+        assert _linear_sum_assignment(cost) == (rows.tolist(), cols.tolist())
 
     def test_match_set_invariant_under_obs_permutation(self, small_library):
         lib = self._library_with([[0.5, -0.5, 0.2], [1.5, 0.5, 0.2]], [1, 1], small_library)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from semnav.world import (
     DepthCamera,
     RobotState,
     SceneEvent,
+    SemanticPointCloud,
     WorldObject,
     apply_scene_events,
     estimate_pose,
@@ -60,6 +62,61 @@ def first_entry(origin, direction, obj, t_max: float) -> float:
         else:
             hi = mid
     return hi
+
+
+def ray_box_intersect_oracle(origins, directions, center, yaw, half_extents):
+    """Nearest-hit parameters for rays against one oriented box, +inf on a miss.
+
+    The slab test for one box, with the arithmetic ``ray_box_intersect`` runs
+    for all boxes at once, but with the three axes as one (n_rays, 3) array
+    reduced by ``max`` and ``min``.
+    """
+    origins = np.atleast_2d(origins)
+    directions = np.atleast_2d(directions)
+    c, s = math.cos(yaw), math.sin(yaw)
+    rel = origins - center[None, :]
+    o = np.stack([c * rel[:, 0] + s * rel[:, 1], -s * rel[:, 0] + c * rel[:, 1], rel[:, 2]], axis=1)
+    d = np.stack([c * directions[:, 0] + s * directions[:, 1], -s * directions[:, 0] + c * directions[:, 1],
+                  directions[:, 2]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        t1 = (-half_extents[None, :] - o) * inv
+        t2 = (half_extents[None, :] - o) * inv
+    parallel = d == 0.0
+    inside = np.abs(o) <= half_extents[None, :]
+    t_lo = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    t_hi = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    t_near = t_lo.max(axis=1)
+    t_far = t_hi.min(axis=1)
+    hit = (t_near <= t_far) & (t_far >= 0.0)
+    return np.where(hit, np.where(t_near >= 0.0, t_near, t_far), np.inf)
+
+
+def render_depth_oracle(world, pose, camera, rng_seed):
+    """``render_depth`` with one ray cast per box, a nearer hit kept only when strictly nearer."""
+    if not world:
+        return SemanticPointCloud.empty()
+    origin = np.array([pose.x, pose.y, camera.mount_height])
+    dirs = camera.ray_directions(pose.theta)
+    origins = np.broadcast_to(origin, dirs.shape)
+    best_t = np.full(dirs.shape[0], np.inf)
+    best_obj = np.full(dirs.shape[0], -1, dtype=int)
+    for idx, obj in enumerate(world):
+        t = ray_box_intersect_oracle(origins, dirs, obj.center3, obj.yaw, np.asarray(obj.half_extents, dtype=float))
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_obj = np.where(closer, idx, best_obj)
+    hit = np.isfinite(best_t) & (best_t <= camera.max_range) & (best_t > 0.0)
+    if not hit.any():
+        return SemanticPointCloud.empty()
+    t_hit = best_t[hit]
+    if camera.depth_noise_sigma > 0.0:
+        rng = np.random.default_rng(rng_seed)
+        t_hit = np.clip(t_hit + rng.normal(0.0, camera.depth_noise_sigma, size=t_hit.shape), 1e-6, camera.max_range)
+    points = origin[None, :] + t_hit[:, None] * dirs[hit]
+    labels = np.array([(o.id, o.class_id, o.stationarity) for o in world], dtype=int)[best_obj[hit]]
+    return SemanticPointCloud(points=points, instance_ids=labels[:, 0], class_ids=labels[:, 1],
+                              stationarity=labels[:, 2])
 
 
 class TestStepDynamics:
@@ -150,8 +207,8 @@ class TestRenderDepth:
             obj = objs[inst]
             d = p - origin
             t_noisy = np.linalg.norm(d)
-            t_true = ray_box_intersect(origin[None, :], (d / t_noisy)[None, :], obj.center3, obj.yaw,
-                                       np.array(obj.half_extents))[0]
+            t_true = ray_box_intersect(origin, d / t_noisy, obj.center3[None, :], [obj.yaw],
+                                       np.array([obj.half_extents]))[0, 0]
             assert abs(t_noisy - t_true) <= 4 * cam.depth_noise_sigma
             assert t_noisy <= cam.max_range + 1e-12
 
@@ -190,6 +247,58 @@ class TestRenderDepth:
                                                    cloud.stationarity, expected):
             np.testing.assert_allclose(p, np.array(origin) + t * np.array(d), rtol=0.0, atol=1e-9)
             assert (inst, cls, stat) == (obj.id, obj.class_id, obj.stationarity)
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["scattered", "twins", "inside", "corner", "behind"]),
+           n_boxes=st.integers(1, 6), lattice=st.booleans(), noise=st.sampled_from([0.0, 0.01]))
+    def test_batched_cast_matches_per_box_loop(self, seed, layout, n_boxes, lattice, noise):
+        # on a quarter-metre lattice a sensor on a box edge sees entry and exit
+        # parameters of +0.0 on one axis and -0.0 on the other, which only the
+        # x, y, z reduction order keeps bit for bit; yaws of 0 and +-pi/2 and
+        # level or straight-ahead rays make direction components exactly 0 in a
+        # box frame, so the parallel branch runs
+        rng = np.random.default_rng(seed)
+        snap = (lambda x: np.round(np.asarray(x) * 4) / 4) if lattice else np.asarray
+        pick_yaw = lambda: float(rng.choice([0.0, math.pi / 2, -math.pi / 2, rng.uniform(-math.pi, math.pi)]))
+        pose = RobotState(*snap(rng.uniform(-1.0, 1.0, 2)), pick_yaw())
+        cam = DepthCamera(horizontal_fov=rng.uniform(0.3, 2.5), rays_per_scan=int(rng.integers(2, 40)),
+                          vertical_levels=int(rng.integers(1, 6)), vertical_fov=rng.uniform(0.1, 1.2),
+                          max_range=rng.uniform(0.5, 5.0), depth_noise_sigma=noise)
+        world = []
+        for k in range(n_boxes):
+            yaw = pick_yaw()
+            half = tuple(float(h) for h in snap(rng.uniform(0.05, 0.8, 3)) + (0.25 if lattice else 0.0))
+            if layout == "behind":  # every box wholly behind the camera: zero hits
+                r = rng.uniform(math.hypot(half[0], half[1]) + 0.05, 3.0)
+                phi = pose.theta + math.pi + rng.uniform(-0.3, 0.3)
+                center = (pose.x + r * math.cos(phi), pose.y + r * math.sin(phi))
+            elif layout == "inside" and k == 0:  # the sensor inside the first box
+                center, half = (pose.x, pose.y), (half[0], half[1], 0.5)
+            elif layout == "corner" and k == 0:  # the sensor on a vertical edge of an unrotated box
+                sx, sy = rng.choice([-1.0, 1.0], 2)
+                center, yaw = (pose.x + sx * half[0], pose.y + sy * half[1]), 0.0
+            else:
+                center = tuple(float(x) for x in snap(rng.uniform(-3.0, 3.0, 2)))
+            world.append(WorldObject(id=10 + k, center=center, yaw=yaw, half_extents=half,
+                                     class_id=int(rng.integers(1, 4)), stationarity=int(rng.integers(0, 2))))
+            if layout == "twins":  # the same box under the next id: every hit ties exactly
+                world.append(replace(world[-1], id=20 + k, class_id=int(rng.integers(1, 4)),
+                                     stationarity=int(rng.integers(0, 2))))
+
+        origin = np.array([pose.x, pose.y, cam.mount_height])
+        dirs = cam.ray_directions(pose.theta)
+        t = ray_box_intersect(origin, dirs, np.array([o.center3 for o in world]), [o.yaw for o in world],
+                              np.array([o.half_extents for o in world], dtype=float))
+        ref = np.stack([ray_box_intersect_oracle(np.broadcast_to(origin, dirs.shape), dirs, o.center3, o.yaw,
+                                                 np.asarray(o.half_extents, dtype=float)) for o in world])
+        assert t.shape == ref.shape and t.tobytes() == ref.tobytes()
+
+        got, want = render_depth(world, pose, cam, seed), render_depth_oracle(world, pose, cam, seed)
+        for field in ("points", "instance_ids", "class_ids", "stationarity"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        if layout == "behind":
+            assert len(got) == 0
 
     def test_max_range_respected(self):
         cam = DepthCamera(depth_noise_sigma=0.0, max_range=1.0)
