@@ -153,11 +153,10 @@ def extract_labeled_boundary(
     keep = slot < ids.size
     keep[keep] = ids[slot[keep]] == oid[keep]
     ix, iy, oid, slot = ix[keep], iy[keep], oid[keep], slot[keep]
-    xs = m25.origin[0] + (ix + 0.5) * m25.resolution
-    ys = m25.origin[1] + (iy + 0.5) * m25.resolution
+    xs, ys = m25.cell_centers()
     return LabeledBoundary(
         cells=np.stack([ix, iy], axis=1),
-        positions=np.stack([xs, ys], axis=1),
+        positions=np.stack([xs[ix], ys[iy]], axis=1),
         owner_ids=oid,
         consistency=ev_of[slot],
         stationarity=st_of[slot],

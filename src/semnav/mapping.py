@@ -103,8 +103,6 @@ class ObjectLibrary:
 
 def segment_observations(cloud: SemanticPointCloud) -> list[Observation]:
     """Group cloud points by instance id; one observation per instance."""
-    if len(cloud) == 0:
-        return []
     out = []
     for inst in np.unique(cloud.instance_ids):
         mask = cloud.instance_ids == inst

@@ -11,7 +11,7 @@ barrier positivity at the predicted states, from the same linearization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,8 +217,8 @@ def mpc_step(
 
     A degraded solve (iteration cap, typically an infeasible hard-constrained
     program) brakes in classic mode and, in CBF mode, repeats the previous
-    applied input clipped to the input box; either way the operating
-    trajectory is re-bootstrapped.
+    applied input clipped to the input box. Either way the prediction becomes
+    a hold with zero inputs, so a second degraded tick in a row brakes.
     """
     x_t = np.asarray(x_t, dtype=float)
     if prev_traj is None:
@@ -231,11 +231,9 @@ def mpc_step(
             u = np.zeros(3)
         else:
             u = np.clip(prev_traj.inputs[0], -params.input_bounds, params.input_bounds)
-        traj = hold_trajectory(x_t, params.horizon)
-        traj.status = "degraded"
-        traj.iterations = sol.iterations
-        traj.residuals = sol.residuals
-        traj.h_values = np.full(params.horizon + 1, field_.query_h(x_t[0], x_t[1]))
+        h_t, _ = field_.query(x_t[None, :2])
+        traj = replace(hold_trajectory(x_t, params.horizon), status="degraded", iterations=sol.iterations,
+                       residuals=sol.residuals, h_values=np.full(params.horizon + 1, h_t[0]))
         return ControlInput(*u), traj
 
     traj = _reconstruct(params, x_t, sol, field_)

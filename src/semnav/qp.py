@@ -5,12 +5,12 @@ Solves
     s.t. G x <= h
 for small dense problems. Written for the receding-horizon controller: no
 feasible start required, deterministic, and the returned solution carries its
-KKT residuals so the caller can audit solve quality per tick. Each Newton step
-eliminates slacks and multipliers and solves one positive-definite system
-M = H + G^T W G by Cholesky. The loop calls LAPACK dpotrf/dpotrs directly, the
-routines scipy.linalg.cho_factor/cho_solve wrap: on the controller's 40-variable
-systems the wrappers' argument handling took longer than LAPACK itself. The
-initial point keeps the checked wrappers, so non-finite data starts at zero.
+KKT residuals so the caller can audit solve quality per tick. The initial
+point and each Newton step solve one positive-definite system M = H + G^T W G
+by Cholesky, through LAPACK dpotrf/dpotrs called directly (the routines
+scipy.linalg.cho_factor/cho_solve wrap, whose argument handling took longer
+than LAPACK itself on the controller's 40-variable systems). Non-finite data
+or a failed factor starts the iteration at zero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 TOL = 1e-8  # residual target of the iteration
@@ -97,10 +96,13 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     H, g, G, h = qp.H, qp.g, qp.G_in, qp.h_in
 
     # initial point: relaxed KKT solve (identity barrier, z = G x - h), then shift s, z positive
-    try:
-        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + G.T @ G + 1e-9 * np.eye(n)), G.T @ h - g)
-    except (ValueError, scipy.linalg.LinAlgError):
-        x = np.zeros(n)
+    x = np.zeros(n)
+    M = H + G.T @ G + 1e-9 * np.eye(n)
+    if np.isfinite(M).all():  # LAPACK's result on non-finite input is undefined
+        factor, info = dpotrf(M, lower=0, clean=0)
+        rhs = G.T @ h - g
+        if info == 0 and np.isfinite(rhs).all() and np.isfinite(factor).all():
+            x = dpotrs(factor, rhs, lower=0)[0]
     z0 = G @ x - h
     s = z0 + max(0.0, -float(z0.min())) + 1.0
     z = s.copy()
@@ -117,15 +119,10 @@ def solve_qp(qp: QpProblem) -> QpSolution:
 
         res = _residuals(r_d, h - gx, z)
         err = max(res)
-        if err < 0.9 * best_err:
+        stalled = 0 if err < 0.9 * best_err else stalled + 1  # a NaN error counts as a stall
+        if err < best_err:
             best_err = err
             best = (x.copy(), z.copy())
-            stalled = 0
-        else:
-            if err < best_err:
-                best_err = err
-                best = (x.copy(), z.copy())
-            stalled += 1
         if err <= tol:
             return QpSolution(x=x, z=z, status="optimal", objective=_objective(qp, x), iterations=iters,
                               residuals=dict(zip(RESIDUAL_KEYS, res)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,20 +99,13 @@ class Metrics:
 
 def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: RobotState) -> SemanticPointCloud:
     """Re-express world points as the mapper believes them under the estimated pose."""
-    if len(cloud) == 0:
-        return cloud
     r_true = rot2d(true_pose.theta)
     r_est = rot2d(est_pose.theta)
     rel = (cloud.points[:, :2] - np.array([true_pose.x, true_pose.y])) @ r_true
     xy = rel @ r_est.T + np.array([est_pose.x, est_pose.y])
     pts = cloud.points.copy()
     pts[:, :2] = xy
-    return SemanticPointCloud(
-        points=pts,
-        instance_ids=cloud.instance_ids,
-        class_ids=cloud.class_ids,
-        stationarity=cloud.stationarity,
-    )
+    return replace(cloud, points=pts)
 
 
 def _workspace_projection(library: ObjectLibrary, theta_z: float):
@@ -168,13 +161,15 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
     prev_traj = hold_trajectory(state.as_array(), ctrl.horizon)
     n_ticks = int(math.ceil(scenario.duration / ctrl.dt))
 
-    for tick in range(n_ticks):
+    for tick in range(n_ticks + 1):  # the pass after the last tick tests the goal at the final state
         t_now = tick * ctrl.dt
         tick_start = time.perf_counter()
 
         if math.hypot(state.x - goal[0], state.y - goal[1]) <= scenario.goal_tolerance:
             record.goal_reached = True
             record.goal_time = t_now
+            break
+        if tick == n_ticks:
             break
 
         world = apply_scene_events(world, scenario.events, applied_events, t_now)
@@ -183,7 +178,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
 
         cloud = render_depth(world, state, scenario.camera, render_seed)
         est = estimate_pose(state, (scenario.pose_noise_xy, scenario.pose_noise_theta), pose_seed)
-        if scenario.pose_noise_xy > 0.0 or scenario.pose_noise_theta > 0.0:
+        if est is not state:  # estimate_pose returns the true pose itself when noise-free
             cloud = _remap_cloud(cloud, state, est)
         sensor_origin = (est.x, est.y, scenario.camera.mount_height)
 
@@ -248,12 +243,6 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         )
 
         state = step_dynamics(state, u, ctrl.dt)
-
-    else:
-        # duration exhausted; check the goal once more at the final state
-        if math.hypot(state.x - goal[0], state.y - goal[1]) <= scenario.goal_tolerance:
-            record.goal_reached = True
-            record.goal_time = n_ticks * ctrl.dt
 
     record.final_pose = state
     return record

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semnav.mpc as mpc_mod
 from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
 from semnav.grids import Grid2D
 from semnav.mpc import (
@@ -264,7 +265,25 @@ class TestMpcStep:
         assert traj.status == "ok"
         assert traj.states[:, 0].max() <= 2.0 + 1e-6
 
-    def test_degraded_fallback_modes(self):
+    @staticmethod
+    def assert_degraded_prediction(traj, params, x0, field, sol):
+        """A hold at x0 with zero inputs, h at x0 at every step and the failed solve's diagnostics."""
+        T = params.horizon
+        assert traj.status == "degraded" and sol.degraded
+        assert np.array_equal(traj.states, np.tile(x0, (T + 1, 1)))
+        assert np.array_equal(traj.inputs, np.zeros((T, 3))) and np.array_equal(traj.slack, np.zeros(T))
+        assert np.array_equal(traj.h_values, np.full(T + 1, field.query_h(*x0[:2])))
+        assert traj.objective == 0.0
+        assert traj.iterations == sol.iterations and traj.residuals == sol.residuals
+
+    def test_degraded_fallback_modes(self, monkeypatch):
+        solves = []
+
+        def recording(qp):
+            solves.append(solve_qp(qp))
+            return solves[-1]
+
+        monkeypatch.setattr(mpc_mod, "solve_qp", recording)
         # classic: an impossible hard-constrained problem, the current state deep
         # in the forbidden set with classic rows, brakes
         n = int(20.0 / RES)
@@ -277,8 +296,8 @@ class TestMpcStep:
         prev.inputs[0] = np.array([0.4, 0.0, 0.0])
         u_brake, traj = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), MODE_CLASSIC,
                                  workspace=(-20, -20, 20, 20))
-        assert traj.status == "degraded"
         assert (u_brake.vx, u_brake.vy, u_brake.omega) == (0.0, 0.0, 0.0)
+        self.assert_degraded_prediction(traj, params, x0, field, solves[-1])
 
         # CBF: a current state outside the workspace makes the k = 0 workspace row
         # infeasible; the previous input is held, clipped to the input box
@@ -286,7 +305,8 @@ class TestMpcStep:
         x0 = np.array([3.0, 0.0, 0.0])
         prev = hold_trajectory(x0, params.horizon)
         prev.inputs[0] = np.array([0.8, 0.0, 0.0])
-        u_hold, traj = mpc_step(params, x0, prev, uniform_field(), np.array([1.0, 0.0, 0.0]), MODE_CBF,
+        field = uniform_field()
+        u_hold, traj = mpc_step(params, x0, prev, field, np.array([1.0, 0.0, 0.0]), MODE_CBF,
                                 workspace=(-2.0, -2.0, 2.0, 2.0))
-        assert traj.status == "degraded"
         assert (u_hold.vx, u_hold.vy, u_hold.omega) == (params.v_max, 0.0, 0.0)
+        self.assert_degraded_prediction(traj, params, x0, field, solves[-1])

@@ -359,12 +359,30 @@ class TestBitIdentityWithOracle:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300, -1e300])
-    @pytest.mark.parametrize("name", ["g", "h_in", "G_in"])
+    @pytest.mark.parametrize("name", ["g", "h_in", "G_in", "H"])
     def test_nonfinite_and_huge_entries(self, name, value):
+        # H.flat[5] = +-1e300 keeps the start's M finite but not positive definite: the factor fails
         for mode in (MODE_CBF, MODE_CLASSIC):
             qp = controller_qp(3, 4, mode, 0.1, -0.3, False)
             getattr(qp, name).flat[5] = value
             assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("H, info_ok, factor_finite", [
+        # a negative pivot: dpotrf fails and leaves a finite partial factor
+        ([[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False, True),
+        # the first row's scale overflows to inf, 0 * inf makes the last pivot NaN,
+        # and dpotrf reports success; cho_solve rejects such a factor
+        ([[0.0, 0.0, 1e308], [0.0, 1.0, 0.0], [1e308, 0.0, 1.0]], True, False),
+    ], ids=["failed", "nonfinite"])
+    def test_failed_factor_of_finite_start(self, H, info_ok, factor_finite):
+        H = np.array(H)
+        qp = QpProblem(H=H, g=np.array([1.0, -1.0, 0.5]), G_in=np.array([[0.0, 1.0, 0.0]]), h_in=np.array([1.0]))
+        M = H + qp.G_in.T @ qp.G_in + 1e-9 * np.eye(3)
+        factor, info = scipy.linalg.lapack.dpotrf(M, lower=0, clean=0)
+        assert np.isfinite(M).all()
+        assert (info == 0, bool(np.isfinite(factor).all())) == (info_ok, factor_finite)
+        assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
 
     @pytest.mark.parametrize("path, change, early_exits", [
         ("wall_sweep.json", lambda sc: replace(sc, controller=replace(sc.controller, gamma_bar=0.01)), 1),

@@ -162,6 +162,22 @@ def test_goal_at_start_terminates_immediately():
     assert rec.rows == []
 
 
+def test_goal_reached_on_the_final_state():
+    # the run reaches the goal at the start of tick K; with duration (K - 0.5) dt
+    # there are exactly K ticks, and the goal is tested at the state after the last
+    sc = open_scenario(duration=40.0)
+    rec = run_closed_loop(sc)
+    assert rec.goal_reached
+    K = len(rec.rows)
+    dt = sc.controller.dt
+    rec = run_closed_loop(replace(sc, duration=(K - 0.5) * dt))
+    assert rec.goal_reached and rec.goal_time == K * dt
+    assert len(rec.rows) == K
+    rec = run_closed_loop(replace(sc, duration=(K - 1.5) * dt))
+    assert not rec.goal_reached and rec.goal_time is None
+    assert len(rec.rows) == K - 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed, gamma", [(311256609, 0.03), (400206112, 0.01)])
 def test_wall_sweep_solves_every_tick(scenario_dir, seed, gamma):
