@@ -1,11 +1,11 @@
 """Barrier field construction from the fused map.
 
 The 3D map collapses to a 2.5D obstacle-proximity grid; cells near the zero
-level become a labelled boundary; scaled distance transforms over that
-boundary produce the object-aware barrier h (and its non-semantic baseline).
-Consistency scales the slope of each object's distance cone, the stationarity
-label enlarges the subtracted bias for likely-dynamic objects, and a cutoff
-flattens the field far from obstacles.
+level become a labelled boundary. Both barriers are a pointwise minimum of
+distance cones, slope * distance - bias, over pieces of that boundary: one per
+object for the object-aware h, where consistency scales the slope and the
+stationarity label enlarges the bias of likely-dynamic objects; one at unit
+slope for the non-semantic baseline. A cutoff flattens the field far away.
 """
 
 from __future__ import annotations
@@ -163,29 +163,20 @@ def extract_labeled_boundary(
     )
 
 
-def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D, cache=None) -> Grid2D:
-    """Object-aware scaled distance field over the workspace grid.
+def _min_of_cones(pieces, grid_spec: Grid2D, cache) -> Grid2D:
+    """Pointwise minimum of slope * distance - bias over pieces ``(cells, slope, bias)``; +inf with none.
 
-    Per object: exact Euclidean distance to that object's boundary cells,
-    scaled by lambda_c * E[v], minus the stationarity-dependent bias; the
-    field is the pointwise minimum across objects. Grouping per object is
-    exact because the labels are constant within an object.
-
-    ``cache`` is a dict one run passes to every call (``None``: a fresh one).
-    It maps grid shape, resolution and an object's cell bytes to that object's
-    unscaled, read-only distances, so an object whose cells did not change
-    skips the transform; on return it holds this call's objects only.
+    The distance to a piece's (N, 2) cells is an exact Euclidean transform. ``cache`` is a dict one
+    run passes to every call (``None``: a fresh one). It maps grid shape, resolution and a piece's
+    cell bytes to its unscaled, read-only distances, so a piece whose cells did not change skips
+    the transform; on return it holds this call's pieces only.
     """
     cache = {} if cache is None else cache
     previous = cache.copy()
     cache.clear()
     out = np.full(grid_spec.dims, np.inf)
     res = grid_spec.resolution
-    for oid in np.unique(boundary.owner_ids):
-        sel = boundary.owner_ids == oid
-        ev = boundary.consistency[sel][0]
-        bias = params.bias_for(int(boundary.stationarity[sel][0]))
-        cells = boundary.cells[sel]
+    for cells, slope, bias in pieces:
         key = (grid_spec.dims, res, cells.tobytes())
         dist = previous.get(key)
         if dist is None:
@@ -194,19 +185,24 @@ def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: 
             dist = ndimage.distance_transform_edt(mask, sampling=res)
             dist.flags.writeable = False
         cache[key] = dist
-        np.minimum(out, params.lambda_c * ev * dist - bias, out=out)
+        np.minimum(out, slope * dist - bias, out=out)
     return Grid2D(origin=grid_spec.origin.copy(), resolution=res, values=out)
 
 
-def build_plain_edf(m25: Grid2D, theta_zero: float, params: CbfParams) -> Grid2D:
-    """Non-semantic distance field: unscaled distance to all zero-level cells minus the bias."""
-    sel = m25.values <= theta_zero
-    if not sel.any():
-        values = np.full(m25.dims, np.inf)
-    else:
-        dist = ndimage.distance_transform_edt(~sel, sampling=m25.resolution)
-        values = dist - params.bias
-    return Grid2D(origin=m25.origin.copy(), resolution=m25.resolution, values=values)
+def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D, cache=None) -> Grid2D:
+    """Object-aware field: one piece per object, at slope lambda_c * E[v] and its stationarity's bias.
+
+    Grouping per object is exact because the labels are constant within an object.
+    """
+    sels = [boundary.owner_ids == oid for oid in np.unique(boundary.owner_ids)]
+    pieces = [(boundary.cells[s], params.lambda_c * boundary.consistency[s][0],
+               params.bias_for(int(boundary.stationarity[s][0]))) for s in sels]
+    return _min_of_cones(pieces, grid_spec, cache)
+
+
+def build_plain_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D, cache=None) -> Grid2D:
+    """Non-semantic field: one piece, every boundary cell at unit slope and ``params.bias``; none if empty."""
+    return _min_of_cones([(boundary.cells, 1.0, params.bias)] if len(boundary) else [], grid_spec, cache)
 
 
 def build_cbf_field(edf: Grid2D, params: CbfParams) -> CbfField:

@@ -47,6 +47,8 @@ class ConsistencyParams:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.removal_threshold < 1.0:
             raise ValueError("removal_threshold must be in (0, 1)")
+        if self.rho_s < 0.0:
+            raise ValueError("rho_s must be >= 0")
 
 
 def initial_state(stationarity: int, params: ConsistencyParams) -> GaussianBetaState:
@@ -135,11 +137,10 @@ def update_consistency(
 
     a_new, b_new = beta_from_moments(e_v, var_v)
 
-    if params.rho_s > 0.0:
-        if stationarity == 1:
-            a_new += params.rho_s
-        else:
-            b_new += params.rho_s
+    if stationarity == 1:
+        a_new += params.rho_s
+    else:
+        b_new += params.rho_s
 
     total = a_new + b_new
     if total > params.n_max:

@@ -206,8 +206,8 @@ def integrate_observation(
     obs: Observation,
     sensor_origin,
     params: MapParams,
-) -> ObjectRecord:
-    """Projective TSDF update of one object from one matched observation.
+) -> None:
+    """Projective TSDF update of one object from one matched observation, in place.
 
     For every observed point, voxels traversed by the sensor ray within the
     truncation band receive the signed along-ray distance from the voxel
@@ -221,7 +221,7 @@ def integrate_observation(
     valid = t_hit > 1e-9
     pts, rays, t_hit = pts[valid], rays[valid], t_hit[valid]
     if pts.shape[0] == 0:
-        return record
+        return
     dirs = rays / t_hit[:, None]
 
     tau, res = params.truncation, params.resolution
@@ -275,7 +275,6 @@ def integrate_observation(
     record.position = (record.position * record.n_points + pts.sum(axis=0)) / total
     record.n_points = total
     record.tsdf = grid
-    return record
 
 
 def spawn_object(

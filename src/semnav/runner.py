@@ -122,13 +122,9 @@ def _workspace_projection(library: ObjectLibrary, theta_z: float):
 
 def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
     global_map, m25, owner = _workspace_projection(library, scenario.cbf.theta_z)
-    if scenario.mode == sc.MODE_SEMANTIC:
-        boundary = extract_labeled_boundary(
-            m25, owner, scenario.cbf.theta_zero, library, scenario.consistency_override
-        )
-        edf = build_semantic_edf(boundary, scenario.cbf, m25, cache=edf_cache)
-    else:
-        edf = build_plain_edf(m25, scenario.cbf.theta_zero, scenario.cbf)
+    boundary = extract_labeled_boundary(m25, owner, scenario.cbf.theta_zero, library, scenario.consistency_override)
+    build_edf = build_semantic_edf if scenario.mode == sc.MODE_SEMANTIC else build_plain_edf
+    edf = build_edf(boundary, scenario.cbf, m25, cache=edf_cache)
     return build_cbf_field(edf, scenario.cbf), global_map
 
 
@@ -150,7 +146,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         workspace=scenario.workspace,
         height=scenario.cbf.theta_z,
     )
-    edf_cache: dict = {}  # per-object distance transforms, carried across this run's ticks
+    edf_cache: dict = {}  # per-piece distance transforms, carried across this run's ticks
     ctrl = scenario.controller
     mode = MODE_CLASSIC if scenario.mode == sc.MODE_CLASSIC else MODE_CBF
     gate = 1.5 * scenario.consistency.sigma_m  # discrepancy gate for map integration
@@ -199,9 +195,8 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 integrate_observation(rec, ob, sensor_origin, library.params)
 
         for obs_idx in unmatched_obs:
-            if len(observations[obs_idx]) > 0:
-                rec = spawn_object(observations[obs_idx], library, sensor_origin)
-                record.spawned_objects.append((t_now, rec.id))
+            rec = spawn_object(observations[obs_idx], library, sensor_origin)
+            record.spawned_objects.append((t_now, rec.id))
 
         for rec in library.objects():
             if rec.consistency.mean_consistency < scenario.consistency.removal_threshold:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import semnav.barrier as barrier_mod
 from semnav.barrier import (
@@ -20,7 +21,7 @@ from semnav.consistency import GaussianBetaState
 from semnav.grids import Grid2D
 from semnav.mapping import GlobalTsdf, remove_object, spawn_object
 
-from conftest import make_observation
+from conftest import make_observation, plain_edf
 
 PARAMS = CbfParams()
 RES = 0.05
@@ -57,6 +58,27 @@ def brute_force_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Gri
         v = params.lambda_c * boundary.consistency[n] * d - params.bias_for(int(boundary.stationarity[n]))
         np.minimum(out, v, out=out)
     return out
+
+
+def brute_force_plain_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D) -> np.ndarray:
+    """Direct distance from every cell to every boundary entry, labels ignored, minus the bias."""
+    xs, ys = grid_spec.cell_centers()
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    out = np.full(grid_spec.dims, np.inf)
+    for px, py in boundary.positions:
+        np.minimum(out, np.hypot(gx - px, gy - py) - params.bias, out=out)
+    return out
+
+
+def plain_edf_oracle(m25: Grid2D, theta_zero: float, params: CbfParams) -> Grid2D:
+    """The non-semantic field as one threshold and one transform of the whole 2.5D grid."""
+    sel = m25.values <= theta_zero
+    if not sel.any():
+        values = np.full(m25.dims, np.inf)
+    else:
+        dist = ndimage.distance_transform_edt(~sel, sampling=m25.resolution)
+        values = dist - params.bias
+    return Grid2D(origin=m25.origin.copy(), resolution=m25.resolution, values=values)
 
 
 def empty_grid(nx=64, ny=64):
@@ -271,6 +293,35 @@ class TestSemanticEdf:
         assert np.all(field.grid.values == PARAMS.theta_cutoff)
 
 
+class TestPlainEdf:
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(0, 3))
+    def test_matches_brute_force_oracle(self, seed, n_objects):
+        # random labels must not matter; no object is the empty boundary
+        rng = np.random.default_rng(seed)
+        spec = empty_grid(48, 40)
+        objs = [([tuple(c) for c in rng.integers(0, 40, size=(rng.integers(1, 30), 2))],
+                 float(rng.uniform(0.2, 1.0)), int(rng.integers(0, 2))) for _ in range(n_objects)]
+        b = boundary_from_cells(spec, objs)
+        edf = build_plain_edf(b, PARAMS, spec)
+        np.testing.assert_allclose(edf.values, brute_force_plain_edf(b, PARAMS, spec), atol=1e-9)
+
+    def test_empty_boundary_is_inf_then_cutoff(self):
+        # the transform of a mask with no zero is finite, so an empty boundary must give no piece
+        spec = empty_grid(48, 40)
+        edf = build_plain_edf(boundary_from_cells(spec, []), PARAMS, spec)
+        assert np.all(edf.values == np.inf)
+        assert np.all(build_cbf_field(edf, PARAMS).grid.values == PARAMS.theta_cutoff)
+
+    @pytest.mark.parametrize("theta_zero", [0.05, 0.15, 0.0])
+    def test_zero_level_boundary_equals_threshold_oracle(self, theta_zero):
+        rng = np.random.default_rng(11)
+        m25 = Grid2D.full((0.3, -0.2), RES, (40, 32), 0.3)
+        m25.values[:] = rng.choice([0.02, 0.1, 0.2, 0.3], size=(40, 32))
+        edf = plain_edf(m25, theta_zero, PARAMS)
+        assert edf.values.tobytes() == plain_edf_oracle(m25, theta_zero, PARAMS).values.tobytes()
+
+
 class TestCbfField:
     def _wall_m25(self):
         m25 = Grid2D.full((0.0, 0.0), RES, (64, 64), 0.3)
@@ -280,12 +331,12 @@ class TestCbfField:
     def test_cutoff_far_from_obstacles(self):
         m25 = Grid2D.full((0.0, 0.0), RES, (64, 64), 0.3)
         m25.values[56:60, 56:60] = 0.05  # obstacle patch in the far corner
-        field = build_cbf_field(build_plain_edf(m25, PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(m25, PARAMS.theta_zero, PARAMS), PARAMS)
         assert field.query_h(0.2, 0.2) == pytest.approx(PARAMS.theta_cutoff)
 
     def test_plain_field_is_distance_minus_bias(self):
         m25 = self._wall_m25()
-        edf = build_plain_edf(m25, PARAMS.theta_zero, PARAMS)
+        edf = plain_edf(m25, PARAMS.theta_zero, PARAMS)
         # 10 cells below the band in x: distance 0.5
         assert edf.values[30, 10] == pytest.approx(0.5 - PARAMS.bias)
 
@@ -302,16 +353,16 @@ class TestCbfField:
         boundary = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library,
                                             consistency_override=1.0 / PARAMS.lambda_c)
         semantic = build_semantic_edf(boundary, PARAMS, m25)
-        plain = build_plain_edf(m25, PARAMS.theta_zero, PARAMS)
+        plain = build_plain_edf(boundary, PARAMS, m25)
         np.testing.assert_allclose(semantic.values, plain.values, atol=1e-12)
 
     def test_query_at_cell_center_exact(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         xs, ys = field.grid.cell_centers()
         assert field.query_h(xs[12], ys[7]) == pytest.approx(field.grid.values[12, 7], abs=1e-12)
 
     def test_query_midpoint_is_mean(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         xs, ys = field.grid.cell_centers()
         mid = field.query_h(0.5 * (xs[12] + xs[13]), ys[7])
         assert mid == pytest.approx(0.5 * (field.grid.values[12, 7] + field.grid.values[13, 7]), abs=1e-12)
@@ -327,7 +378,7 @@ class TestCbfField:
             assert gy == pytest.approx(3.0, abs=1e-9)
 
     def test_gradient_consistent_with_value_queries(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 25:
@@ -345,7 +396,7 @@ class TestCbfField:
             checked += 1
 
     def test_out_of_extent_clamps_and_flags(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         v, clamped = field.query_h_checked(-5.0, 1.0)
         assert clamped
         v2, inside = field.query_h_checked(1.0, 1.0)
@@ -354,7 +405,7 @@ class TestCbfField:
     def test_batched_query_matches_scalar_queries_bitwise(self):
         # the batched query against query_h and against a per-point stencil
         # evaluated with Python floats, on and off the grid (off-grid clamps)
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         grid = field.grid
         rng = np.random.default_rng(7)
         pts = np.concatenate([
@@ -381,12 +432,12 @@ class TestCbfField:
             assert gy == (sample(cx, cy + d) - sample(cx, cy - d)) / (2.0 * d)
 
     def test_batched_query_rejects_nonfinite_points(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         with pytest.raises(ValueError):
             field.query(np.array([[0.5, 0.5], [np.nan, 0.5]]))
 
     def test_rejects_nonfinite_queries(self):
-        field = build_cbf_field(build_plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
+        field = build_cbf_field(plain_edf(self._wall_m25(), PARAMS.theta_zero, PARAMS), PARAMS)
         with pytest.raises(ValueError):
             field.query_h(float("nan"), 0.0)
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semnav.mpc as mpc_mod
-from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
+from semnav.barrier import CbfField, CbfParams, build_cbf_field
 from semnav.grids import Grid2D
 from semnav.mpc import (
     MODE_CBF,
@@ -16,6 +16,8 @@ from semnav.mpc import (
     mpc_step,
 )
 from semnav.qp import solve_qp
+
+from conftest import plain_edf
 
 CBF = CbfParams()
 WORKSPACE = (-10.0, -10.0, 10.0, 10.0)  # xmin, ymin, xmax, ymax; far from every test's path
@@ -43,7 +45,7 @@ def built_field():
     m25 = Grid2D.full((0.0, 0.0), RES, (64, 64), 0.3)
     m25.values[40:44, :] = 0.05  # a wall band
     m25.values[10:16, 30:36] = 0.05  # and a patch
-    return build_cbf_field(build_plain_edf(m25, CBF.theta_zero, CBF), CBF)
+    return build_cbf_field(plain_edf(m25, CBF.theta_zero, CBF), CBF)
 
 
 class TestLinearization:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semnav.barrier import CbfField, CbfParams, build_cbf_field, build_plain_edf
+from semnav.barrier import CbfField, CbfParams, build_cbf_field
 from semnav.grids import Grid2D
 from semnav.report import (
     SVG_MARGIN,
@@ -21,6 +21,8 @@ from semnav.report import (
 from semnav.runner import run_closed_loop
 from semnav.scenario import Scenario
 from semnav.world import SceneEvent, WorldObject
+
+from conftest import plain_edf
 
 
 def small_run(**kw):
@@ -170,7 +172,7 @@ class TestFieldCsv:
     def test_format(self, tmp_path):
         m25 = Grid2D.full((0.0, 0.0), 0.05, (8, 8), 0.3)
         m25.values[4, 4] = 0.0
-        field = build_cbf_field(build_plain_edf(m25, 0.15, CbfParams()), CbfParams())
+        field = build_cbf_field(plain_edf(m25, 0.15, CbfParams()), CbfParams())
         path = tmp_path / "field.csv"
         write_field_csv(field, path)
         lines = path.read_text().splitlines()

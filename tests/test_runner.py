@@ -6,9 +6,10 @@ import semnav.runner as runner_mod
 from semnav.barrier import project_2p5d
 from semnav.mapping import fuse_global_tsdf
 from semnav.runner import Metrics, RunRecord, TickRow, compute_metrics, run_closed_loop
-from semnav.scenario import MODE_NONSEMANTIC, MODE_SEMANTIC, Scenario, load_scenario
+from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, Scenario, load_scenario
 from semnav.world import ControlInput, RobotState, WorldObject
 
+from test_barrier import plain_edf_oracle
 from test_mapping import fuse_global_tsdf_oracle
 
 
@@ -209,6 +210,27 @@ def test_distance_cache_matches_fresh_field_every_tick(scenario_dir, monkeypatch
     rec = run_closed_loop(load_scenario(scenario_dir / "drawer_shift.json"))
     assert len(reused) == len(rec.rows) and sum(reused) > 0
     assert rec.removed_objects and [t for t, _ in rec.spawned_objects if t > 0.0]
+
+
+@pytest.mark.parametrize("mode", [MODE_NONSEMANTIC, MODE_CLASSIC])
+def test_plain_field_matches_threshold_oracle_every_tick(scenario_dir, monkeypatch, mode):
+    # the runner's labelled boundary is every zero-level cell of the projection
+    # it passes as grid_spec, and the run's cache changes no bit
+    real = runner_mod.build_plain_edf
+    reused = []
+
+    def checked(boundary, params, grid_spec, cache=None):
+        before = set(cache)
+        edf = real(boundary, params, grid_spec, cache=cache)
+        fresh = real(boundary, params, grid_spec)
+        oracle = plain_edf_oracle(grid_spec, params.theta_zero, params)
+        assert edf.values.tobytes() == fresh.values.tobytes() == oracle.values.tobytes()
+        reused.append(len(before & set(cache)))
+        return edf
+
+    monkeypatch.setattr(runner_mod, "build_plain_edf", checked)
+    rec = run_closed_loop(replace(load_scenario(scenario_dir / "drawer_gap.json"), mode=mode))
+    assert len(reused) == len(rec.rows) and sum(reused) > 0
 
 
 def checked_projection(monkeypatch, ticks):

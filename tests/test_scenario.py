@@ -178,6 +178,11 @@ def _dotted(path) -> str:
     (("consistency", "n_max"), 0),  # ValueError at the first consistency update
     (("robot", "goal"), [0.1, 0.0, 0.0]),  # no tick recorded; compute_metrics raises on the empty record
     (("cbf", "theta_zero"), 0.3),  # = map.truncation: every never-observed column is on the zero level
+    (("consistency_override",), 0),  # h = -bias everywhere
+    (("consistency_override",), -0.5),  # the barrier falls with distance
+    (("consistency_override",), 7.0),  # not a probability
+    (("consistency", "rho_s"), -3),  # silently skipped by the update
+    (("snapshot_ticks",), [-1]),  # never exported
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
     data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
