@@ -44,7 +44,6 @@ class LabeledBoundary:
     """Zero-level cells annotated with the owning object's labels."""
 
     cells: np.ndarray  # (N, 2) int grid indices
-    positions: np.ndarray  # (N, 2) world cell centers
     owner_ids: np.ndarray  # (N,) int
     consistency: np.ndarray  # (N,) E[v] of the owner
     stationarity: np.ndarray  # (N,) {0, 1}
@@ -153,10 +152,8 @@ def extract_labeled_boundary(
     keep = slot < ids.size
     keep[keep] = ids[slot[keep]] == oid[keep]
     ix, iy, oid, slot = ix[keep], iy[keep], oid[keep], slot[keep]
-    xs, ys = m25.cell_centers()
     return LabeledBoundary(
         cells=np.stack([ix, iy], axis=1),
-        positions=np.stack([xs[ix], ys[iy]], axis=1),
         owner_ids=oid,
         consistency=ev_of[slot],
         stationarity=st_of[slot],

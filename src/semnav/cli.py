@@ -49,13 +49,17 @@ def cmd_sweep(args) -> int:
     if not gammas:
         print("sweep: no gamma values given", file=sys.stderr)
         return 2
+    labels = [f"{gamma:g}" for gamma in gammas]  # each run writes to <out>/gamma_<label>
+    if len(set(labels)) < len(labels):
+        print(f"sweep: two --gamma-bar values share one output directory name in {','.join(labels)}", file=sys.stderr)
+        return 2
     scenarios = [_load(args, gamma) for gamma in gammas]  # every value is checked before the first run
-    for gamma, scenario in zip(gammas, scenarios):
-        record = run_closed_loop(replace(scenario, name=f"{scenario.name}_gamma{gamma:g}"))
-        out_dir = Path(args.out) / f"gamma_{gamma:g}"
+    for label, scenario in zip(labels, scenarios):
+        record = run_closed_loop(replace(scenario, name=f"{scenario.name}_gamma{label}"))
+        out_dir = Path(args.out) / f"gamma_{label}"
         metrics = emit_outputs(record, out_dir)
         print(
-            f"gamma_bar={gamma:g}: goal_reached={metrics.goal_reached} "
+            f"gamma_bar={label}: goal_reached={metrics.goal_reached} "
             f"min_h={metrics.min_h:.3f} path={metrics.path_length:.2f} -> {out_dir}"
         )
     return 0

@@ -68,7 +68,7 @@ class PredictedTrajectory:
 
     @property
     def max_slack(self) -> float:
-        return float(self.slack.max()) if self.slack.size else 0.0
+        return float(self.slack.max())
 
 
 def hold_trajectory(x_t: np.ndarray, horizon: int) -> PredictedTrajectory:
@@ -206,24 +206,22 @@ def _reconstruct(
 def mpc_step(
     params: ControllerParams,
     x_t: np.ndarray,
-    prev_traj: PredictedTrajectory | None,
+    prev_traj: PredictedTrajectory,
     field_: CbfField,
     goal: np.ndarray,
     mode: str = MODE_CBF,
     *,
     workspace: tuple[float, float, float, float],
 ) -> tuple[ControlInput, PredictedTrajectory]:
-    """Solve one receding-horizon step and return the first input.
+    """Solve one receding-horizon step about the last plan; return the first input and the new plan.
 
-    A degraded solve (iteration cap, typically an infeasible hard-constrained
+    ``prev_traj`` is the last tick's plan, or ``hold_trajectory`` at the first. A
+    degraded solve (iteration cap, typically an infeasible hard-constrained
     program) brakes in classic mode and, in CBF mode, repeats the previous
-    applied input clipped to the input box. Either way the prediction becomes
-    a hold with zero inputs, so a second degraded tick in a row brakes.
+    applied input clipped to the input box. Either way the plan becomes a hold
+    with zero inputs, so a second degraded tick in a row brakes.
     """
     x_t = np.asarray(x_t, dtype=float)
-    if prev_traj is None:
-        prev_traj = hold_trajectory(x_t, params.horizon)
-
     sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, mode, workspace=workspace))
 
     if sol.degraded:

@@ -35,8 +35,8 @@ def trajectory_csv_lines(record: RunRecord) -> list[str]:
             repr(row.input.vy),
             repr(row.input.omega),
             repr(row.h),
-            row.solver_status,
-            repr(row.max_slack),
+            row.plan.status,
+            repr(row.plan.max_slack),
         ]
         for oid in obj_ids:
             ev = row.object_ev.get(oid)

@@ -35,7 +35,7 @@ from .mapping import (
     segment_observations,
     spawn_object,
 )
-from .mpc import MODE_CBF, MODE_CLASSIC, hold_trajectory, mpc_step
+from .mpc import MODE_CBF, MODE_CLASSIC, PredictedTrajectory, hold_trajectory, mpc_step
 from .world import (
     ControlInput,
     RobotState,
@@ -55,16 +55,14 @@ class TickRow:
     input: ControlInput
     h: float
     object_ev: dict[int, float]
-    solver_status: str
-    max_slack: float
-    objective: float
-    predicted_h: tuple
+    plan: PredictedTrajectory  # what mpc_step returned this tick: status, prediction, slack, h, solve diagnostics
     solve_time: float
-    iterations: int
-    residuals: dict
     collision: bool
-    degraded: bool
     tick_time: float
+
+    @property
+    def degraded(self) -> bool:
+        return self.plan.status == "degraded"
 
 
 @dataclass
@@ -224,15 +222,9 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 input=u,
                 h=h_true,
                 object_ev={r.id: r.consistency.mean_consistency for r in library.objects()},
-                solver_status=prev_traj.status,
-                max_slack=prev_traj.max_slack,
-                objective=prev_traj.objective,
-                predicted_h=tuple(float(v) for v in prev_traj.h_values),
+                plan=prev_traj,
                 solve_time=solve_time,
-                iterations=prev_traj.iterations,
-                residuals=dict(prev_traj.residuals),
                 collision=_in_collision(state, world),
-                degraded=prev_traj.status == "degraded",
                 tick_time=time.perf_counter() - tick_start,
             )
         )
@@ -268,7 +260,7 @@ def compute_metrics(record: RunRecord) -> Metrics:
         collision_ticks=sum(1 for r in record.rows if r.collision),
         mean_solve_time=float(np.mean([r.solve_time for r in record.rows])),
         mean_tick_time=float(np.mean([r.tick_time for r in record.rows])),
-        max_slack=max(r.max_slack for r in record.rows),
+        max_slack=max(r.plan.max_slack for r in record.rows),
         object_ev_min=ev_min,
         object_ev_max=ev_max,
     )

@@ -85,8 +85,8 @@ class Scenario:
             raise ScenarioError("seed: must be >= 0")
         if self.consistency_override is not None and not 0.0 < self.consistency_override <= 1.0:
             raise ScenarioError("consistency_override: must lie in (0, 1], the range of E[v]")
-        if min(self.snapshot_ticks, default=0) < 0:
-            raise ScenarioError("snapshot_ticks: every tick must be >= 0")
+        if not all(0 <= k < self.duration / dt for k in self.snapshot_ticks):  # ticks k of the run, as above
+            raise ScenarioError("snapshot_ticks: every tick must be >= 0 and below duration / controller.dt")
         for key, v in (("goal_tolerance", self.goal_tolerance), ("pose_noise.sigma_xy", self.pose_noise_xy),
                        ("pose_noise.sigma_theta", self.pose_noise_theta)):
             if v < 0.0:

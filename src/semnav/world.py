@@ -53,9 +53,6 @@ class ControlInput:
         object.__setattr__(self, "vy", float(self.vy))
         object.__setattr__(self, "omega", float(self.omega))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.omega])
-
 
 LIKELY_STATIC = 1
 LIKELY_DYNAMIC = 0
@@ -199,9 +196,6 @@ def render_depth(
     best_t = t[best_obj, np.arange(dirs.shape[0])]
 
     hit = np.isfinite(best_t) & (best_t <= camera.max_range) & (best_t > 0.0)
-    if not hit.any():
-        return SemanticPointCloud.empty()
-
     t_hit = best_t[hit]
     if camera.depth_noise_sigma > 0.0:
         rng = np.random.default_rng(rng_seed)

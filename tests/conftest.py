@@ -49,9 +49,7 @@ def plain_edf(m25, theta_zero, params):
     from semnav.barrier import LabeledBoundary, build_plain_edf
 
     ix, iy = np.nonzero(m25.values <= theta_zero)
-    xs, ys = m25.cell_centers()
     n = ix.size
-    boundary = LabeledBoundary(cells=np.stack([ix, iy], axis=1), positions=np.stack([xs[ix], ys[iy]], axis=1),
-                               owner_ids=np.zeros(n, dtype=int), consistency=np.ones(n),
-                               stationarity=np.ones(n, dtype=int))
+    boundary = LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=np.zeros(n, dtype=int),
+                               consistency=np.ones(n), stationarity=np.ones(n, dtype=int))
     return build_plain_edf(boundary, params, m25)

@@ -26,7 +26,7 @@ from semnav.runner import compute_metrics, run_closed_loop
 from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, load_scenario
 
 from conftest import SCENARIO_DIR
-from test_barrier import boundary_from_cells, brute_force_edf
+from test_barrier import boundary_from_cells, brute_force_edf, cell_centres
 from test_consistency import posterior_moments_by_quadrature
 from test_qp import enumerate_box_qp, box_qp
 
@@ -135,7 +135,7 @@ def test_criterion_4_heuristic_monotonicity():
 
     xs, ys = spec.cell_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    cells0 = boundary.positions[boundary.owner_ids == 0]
+    cells0 = cell_centres(boundary, spec)[boundary.owner_ids == 0]
     d0 = np.min(np.hypot(gx[:, :, None] - cells0[None, None, :, 0],
                          gy[:, :, None] - cells0[None, None, :, 1]), axis=2)
     strictly_lower_nearby = float(np.min(diff[d0 <= 2.0])) < -1e-6
@@ -249,9 +249,9 @@ def test_criterion_8_controller_numerics(sweep_records, gap_records):
     for gamma in GAMMAS:
         rows.extend(sweep_records[gamma][0].rows)
     rows.extend(gap_records[MODE_SEMANTIC].rows)
-    ok_rows = [r for r in rows if r.residuals and not r.degraded]
+    ok_rows = [r for r in rows if r.plan.residuals and not r.degraded]
     assert len(ok_rows) >= 100, f"only {len(ok_rows)} solved ticks collected"
-    worst_kkt = max(max(r.residuals.values()) for r in ok_rows)
+    worst_kkt = max(max(r.plan.residuals.values()) for r in ok_rows)
     kkt_ok = worst_kkt <= 1e-6
 
     # predicted trajectories satisfy the exact integrator dynamics

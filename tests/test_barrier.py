@@ -36,16 +36,17 @@ def boundary_from_cells(grid_spec: Grid2D, cells_by_object):
             owners.append(oid)
             evs.append(ev)
             sts.append(s)
-    cells = np.array(cells, dtype=int).reshape(-1, 2)
-    xs = grid_spec.origin[0] + (cells[:, 0] + 0.5) * grid_spec.resolution
-    ys = grid_spec.origin[1] + (cells[:, 1] + 0.5) * grid_spec.resolution
     return LabeledBoundary(
-        cells=cells,
-        positions=np.stack([xs, ys], axis=1),
+        cells=np.array(cells, dtype=int).reshape(-1, 2),
         owner_ids=np.array(owners, dtype=int),
         consistency=np.array(evs, dtype=float),
         stationarity=np.array(sts, dtype=int),
     )
+
+
+def cell_centres(boundary: LabeledBoundary, grid_spec: Grid2D) -> np.ndarray:
+    """(N, 2) world centres of the boundary's cells."""
+    return grid_spec.origin + (boundary.cells + 0.5) * grid_spec.resolution
 
 
 def brute_force_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D) -> np.ndarray:
@@ -53,8 +54,8 @@ def brute_force_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Gri
     xs, ys = grid_spec.cell_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     out = np.full(grid_spec.dims, np.inf)
-    for n in range(len(boundary)):
-        d = np.hypot(gx - boundary.positions[n, 0], gy - boundary.positions[n, 1])
+    for n, (px, py) in enumerate(cell_centres(boundary, grid_spec)):
+        d = np.hypot(gx - px, gy - py)
         v = params.lambda_c * boundary.consistency[n] * d - params.bias_for(int(boundary.stationarity[n]))
         np.minimum(out, v, out=out)
     return out
@@ -65,7 +66,7 @@ def brute_force_plain_edf(boundary: LabeledBoundary, params: CbfParams, grid_spe
     xs, ys = grid_spec.cell_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     out = np.full(grid_spec.dims, np.inf)
-    for px, py in boundary.positions:
+    for px, py in cell_centres(boundary, grid_spec):
         np.minimum(out, np.hypot(gx - px, gy - py) - params.bias, out=out)
     return out
 
@@ -200,8 +201,6 @@ class TestBoundaryExtraction:
             assert b.owner_ids[n] == rec.id
             assert b.stationarity[n] == rec.stationarity
             assert b.consistency[n] == (rec.consistency.mean_consistency if override is None else override)
-            assert b.positions[n, 0] == m25.origin[0] + (i + 0.5) * RES
-            assert b.positions[n, 1] == m25.origin[1] + (j + 0.5) * RES
         assert {int(o) for o in b.owner_ids} == {0, 2, 3, 5}
         assert set(b.stationarity.tolist()) == {0, 1}
 

@@ -21,6 +21,7 @@ if str(REPO_ROOT / "perfbench") not in sys.path:  # as perfbench/tests/conftest.
 
 from bench_metrics import REQUIRED_SPANS, per_tick_table  # noqa: E402
 from bench_spans import Patches, Recorder, install_layer_hooks, install_tick_hook  # noqa: E402
+from bench_workloads import WORKLOADS  # noqa: E402
 
 
 def test_perfbench_tests_pass():
@@ -51,3 +52,24 @@ def test_traced_hooks_cover_the_plain_barrier(mode):
     assert {name for name in REQUIRED_SPANS if not name.startswith("report.")} <= {s.name for s in rec.spans}
     ticks = per_tick_table(rec.spans, {0})[0]
     assert len(ticks) == len(record.rows) == 5
+
+
+def test_traced_hooks_cover_a_removal():
+    # shift_churn also requires mapping.remove, and the five-tick runs above remove
+    # nothing; a full drawer_shift run removes the teleported drawer and respawns it
+    workload = WORKLOADS["shift_churn"]
+    scenario = load_scenario(SCENARIO_DIR / workload.scenario_file)
+    rec, patches = Recorder(), Patches()
+    try:
+        install_tick_hook(patches, rec)
+        install_layer_hooks(patches, rec)
+        rec.start_episode()
+        record = run_closed_loop(scenario)
+        rec.end_episode()
+    finally:
+        patches.undo()
+    assert record.removed_objects and record.spawned_objects
+    required = {name for name in REQUIRED_SPANS if not name.startswith("report.")} | set(workload.also_requires)
+    assert required <= {s.name for s in rec.spans}
+    ticks = per_tick_table(rec.spans, {0})[0]
+    assert len(ticks) == len(record.rows)

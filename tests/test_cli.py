@@ -75,6 +75,15 @@ def test_sweep_checks_every_gamma_before_the_first_run(scenario_dir, tmp_path, c
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("gammas", ["0.1234567,0.1234568", "0.1,0.5,0.1"])
+def test_sweep_rejects_rates_that_share_an_output_directory(scenario_dir, tmp_path, capsys, gammas):
+    # each rate writes to gamma_{rate:g}: a second one would overwrite the first
+    rc = main(["sweep", str(scenario_dir / "open_goal.json"), "--out", str(tmp_path / "sw"), "--gamma-bar", gammas])
+    assert rc == 2
+    assert "share one output directory" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # assignment lives in semnav.mapping; scipy.optimize would add its whole solver stack to every start-up
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))

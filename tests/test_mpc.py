@@ -173,7 +173,7 @@ class TestBuildQp:
         field = built_field()
         x0 = np.array([1.2, 1.0, 0.0])
         goal = np.array([2.8, 1.6, 0.0])
-        _, prev = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
+        _, prev = mpc_step(params, x0, hold_trajectory(x0, params.horizon), field, goal, workspace=WORKSPACE)
         x_t = np.array([1.25, 1.02, 0.1])
         b, A = linearize_barrier(field, prev.states, x_t, prediction_matrix(T, params.dt))
         assert np.abs(A[1:]).max() > 0.01  # the wall is within reach
@@ -190,13 +190,16 @@ class TestMpcStep:
     def test_zero_input_at_goal(self):
         params = ControllerParams()
         goal = np.array([1.0, -1.0, 0.2])
-        u, traj = mpc_step(params, goal, None, uniform_field(), goal, workspace=WORKSPACE)
+        u, traj = mpc_step(params, goal, hold_trajectory(goal, params.horizon), uniform_field(), goal,
+                           workspace=WORKSPACE)
         assert abs(u.vx) <= 1e-6 and abs(u.vy) <= 1e-6 and abs(u.omega) <= 1e-6
         assert traj.status == "ok"
 
     def test_drives_straight_at_goal_ahead(self):
         params = ControllerParams()
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]), workspace=WORKSPACE)
+        x0 = np.zeros(3)
+        u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.array([2.0, 0.0, 0.0]),
+                           workspace=WORKSPACE)
         assert u.vx > 0.4
         assert abs(u.vy) <= 1e-6
 
@@ -207,14 +210,16 @@ class TestMpcStep:
         for _ in range(10):
             x0 = rng.uniform(-2, 2, size=3)
             goal = rng.uniform(-3, 3, size=3)
-            u, traj = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
+            u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), field, goal, workspace=WORKSPACE)
             assert abs(u.vx) <= params.v_max + 1e-9
             assert abs(u.vy) <= params.v_max + 1e-9
             assert abs(u.omega) <= params.omega_max + 1e-9
 
     def test_prediction_satisfies_exact_dynamics(self):
         params = ControllerParams()
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 1.0, 0.4]), workspace=WORKSPACE)
+        x0 = np.zeros(3)
+        u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.array([2.0, 1.0, 0.4]),
+                           workspace=WORKSPACE)
         for k in range(params.horizon):
             np.testing.assert_allclose(
                 traj.states[k + 1], traj.states[k] + params.dt * traj.inputs[k], atol=1e-9
@@ -222,7 +227,9 @@ class TestMpcStep:
 
     def test_zero_slack_when_feasible(self):
         params = ControllerParams()  # default slack penalty
-        u, traj = mpc_step(params, np.zeros(3), None, uniform_field(), np.array([2.0, 0.0, 0.0]), workspace=WORKSPACE)
+        x0 = np.zeros(3)
+        u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.array([2.0, 0.0, 0.0]),
+                           workspace=WORKSPACE)
         assert traj.max_slack <= 1e-6
 
     def test_linearized_decay_holds_on_solution(self):
@@ -250,7 +257,7 @@ class TestMpcStep:
         speeds = {}
         for gamma in (0.01, 1.0):
             params = ControllerParams(gamma_bar=gamma)
-            u, traj = mpc_step(params, x0, None, field, goal, workspace=WORKSPACE)
+            u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), field, goal, workspace=WORKSPACE)
             speeds[gamma] = -u.vx  # approach component toward decreasing h
             h0 = field.query_h(x0[0], x0[1])
             h1 = field.query_h(*traj.states[1][:2])
@@ -262,8 +269,8 @@ class TestMpcStep:
         # the goal lies beyond the workspace edge at x = 2: every predicted state stops at the edge
         params = ControllerParams()
         x0 = np.array([1.5, 0.0, 0.0])
-        u, traj = mpc_step(params, x0, None, uniform_field(), np.array([5.0, 0.0, 0.0]), mode,
-                           workspace=(-2.0, -2.0, 2.0, 2.0))
+        u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.array([5.0, 0.0, 0.0]),
+                           mode, workspace=(-2.0, -2.0, 2.0, 2.0))
         assert traj.status == "ok"
         assert traj.states[:, 0].max() <= 2.0 + 1e-6
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import semnav.mpc as mpc_mod
 import semnav.runner as runner_mod
 from semnav.barrier import project_2p5d
 from semnav.mapping import fuse_global_tsdf
+from semnav.mpc import hold_trajectory, mpc_step
+from semnav.qp import solve_qp
+from semnav.report import trajectory_csv_lines
 from semnav.runner import Metrics, RunRecord, TickRow, compute_metrics, run_closed_loop
 from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, Scenario, load_scenario
 from semnav.world import ControlInput, RobotState, WorldObject
@@ -94,13 +98,48 @@ class TestClosedLoop:
         assert 0 < g.dims[0] < library.grid_dims[0] and 0 < g.dims[1] < library.grid_dims[1]
 
 
+def test_each_row_keeps_the_plan_mpc_step_returned(monkeypatch):
+    # each row holds the very object mpc_step returned, the next tick linearizes
+    # about it, and the CSV reads its status and slack; tick 2's solve is made to fail
+    solves = []
+
+    def solve(qp):
+        solves.append(solve_qp(qp))
+        return replace(solves[-1], status="max_iter") if len(solves) == 3 else solves[-1]
+
+    calls = []
+
+    def spy(*args, **kw):
+        out = mpc_step(*args, **kw)
+        calls.append((args[2], out[1]))
+        return out
+
+    monkeypatch.setattr(mpc_mod, "solve_qp", solve)
+    monkeypatch.setattr(runner_mod, "mpc_step", spy)
+    sc = open_scenario(objects=[WorldObject(id=0, center=(1.0, 0.6), yaw=0.0, half_extents=(0.2, 0.3, 0.3),
+                                            class_id=1, stationarity=1)], duration=2.0)
+    rec = run_closed_loop(sc)
+    assert len(rec.rows) == len(calls) == 10
+    assert calls[0][0].status == "hold" and np.array_equal(calls[0][0].states[0], sc.start)
+    for k, (row, (prev, plan)) in enumerate(zip(rec.rows, calls)):
+        assert row.plan is plan
+        assert k == 0 or prev is calls[k - 1][1]
+    assert [r.plan.status for r in rec.rows] == ["degraded" if k == 2 else "ok" for k in range(10)]
+    assert [r.degraded for r in rec.rows] == [k == 2 for k in range(10)]
+    assert compute_metrics(rec).degraded_ticks == 1
+    assert compute_metrics(rec).max_slack == max(r.plan.max_slack for r in rec.rows)
+    lines = trajectory_csv_lines(rec)
+    assert len(lines) == 1 + len(rec.rows)
+    for line, row in zip(lines[1:], rec.rows):
+        assert line.split(",")[8:10] == [row.plan.status, repr(row.plan.max_slack)]
+
+
 class TestMetrics:
     def _row(self, t, x, y, h=1.8, **kw):
         defaults = dict(
             t=t, true_pose=RobotState(x, y, 0.0), est_pose=RobotState(x, y, 0.0),
-            input=ControlInput(0, 0, 0), h=h, object_ev={}, solver_status="ok",
-            max_slack=0.0, objective=0.0, predicted_h=(), solve_time=0.01, iterations=5,
-            residuals={}, collision=False, degraded=False, tick_time=0.02,
+            input=ControlInput(0, 0, 0), h=h, object_ev={}, plan=hold_trajectory(np.array([x, y, 0.0]), 10),
+            solve_time=0.01, collision=False, tick_time=0.02,
         )
         defaults.update(kw)
         return TickRow(**defaults)
@@ -189,7 +228,7 @@ def test_wall_sweep_solves_every_tick(scenario_dir, seed, gamma):
     rec = run_closed_loop(sc)
     assert rec.goal_reached
     assert [i for i, r in enumerate(rec.rows) if r.degraded] == []
-    assert max(max(r.residuals.values()) for r in rec.rows) <= 1e-6
+    assert max(max(r.plan.residuals.values()) for r in rec.rows) <= 1e-6
 
 
 def test_distance_cache_matches_fresh_field_every_tick(scenario_dir, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semnav.runner import run_closed_loop
 from semnav.scenario import (
     MODE_CLASSIC,
     Scenario,
@@ -183,6 +184,7 @@ def _dotted(path) -> str:
     (("consistency_override",), 7.0),  # not a probability
     (("consistency", "rho_s"), -3),  # silently skipped by the update
     (("snapshot_ticks",), [-1]),  # never exported
+    (("snapshot_ticks",), [0, 150]),  # never exported: the 30 s run at dt = 0.2 has ticks 0 to 149
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
     data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
@@ -229,6 +231,19 @@ def test_goal_just_beyond_tolerance_and_theta_zero_just_below_truncation_load():
     sc = scenario_from_dict(dict(MINIMAL, robot={"start": [0.0, 0.0, 0.0], "goal": [0.1001, 0.0, 0.0]},
                                  cbf={"theta_zero": 0.29}))
     assert sc.goal[0] == 0.1001 and sc.cbf.theta_zero == 0.29
+
+
+@pytest.mark.parametrize("duration, last", [(30.0, 149), (0.4, 1), (0.5, 2), (0.6, 2)])
+def test_last_tick_of_the_run_is_a_valid_snapshot(duration, last):
+    # the run has ceil(duration / dt) ticks (0.6 / 0.2 is just below 3 in floats)
+    data = dict(MINIMAL, duration=duration, snapshot_ticks=[0, last])
+    sc = scenario_from_dict(data)
+    assert sc.snapshot_ticks == (0, last)
+    with pytest.raises(ScenarioError, match=r"^snapshot_ticks: "):
+        scenario_from_dict(dict(data, snapshot_ticks=[last + 1]))
+    if duration < 1.0:
+        rec = run_closed_loop(sc)
+        assert len(rec.rows) == last + 1 and set(rec.field_snapshots) == {0, last}
 
 
 def _event(action, time):
