@@ -41,12 +41,11 @@ class CbfParams:
 
 @dataclass
 class LabeledBoundary:
-    """Zero-level cells annotated with the owning object's labels."""
+    """Zero-level cells, the object owning each, and each owner's labels once."""
 
     cells: np.ndarray  # (N, 2) int grid indices
     owner_ids: np.ndarray  # (N,) int
-    consistency: np.ndarray  # (N,) E[v] of the owner
-    stationarity: np.ndarray  # (N,) {0, 1}
+    labels: dict[int, tuple[float, int]]  # owner id -> (E[v], stationarity {0, 1}), one entry per owner
 
     def __len__(self) -> int:
         return self.cells.shape[0]
@@ -135,29 +134,17 @@ def extract_labeled_boundary(
     library: ObjectLibrary,
     consistency_override: float | None = None,
 ) -> LabeledBoundary:
-    """Cells at or below the zero-level threshold, labelled by their owner.
+    """Cells at or below the zero-level threshold, their owners, and each owner's (E[v], stationarity).
 
-    Cells whose owner is missing from the library are dropped as stale.
+    An owner outside the library raises, a negative one ValueError and an unknown one KeyError: a
+    fused voxel with no owner holds the truncation value, which the loader keeps above ``theta_zero``.
     """
     ix, iy = np.nonzero(m25.values <= theta_zero)
     oid = owner[ix, iy].astype(int)
-    # per-object label tables in ascending id order, looked up by binary search
-    objs = library.objects()
-    ids = np.array([rec.id for rec in objs], dtype=int)
-    ev_of = np.array([rec.consistency.mean_consistency for rec in objs], dtype=float)
-    if consistency_override is not None:
-        ev_of[:] = consistency_override
-    st_of = np.array([rec.stationarity for rec in objs], dtype=int)
-    slot = np.searchsorted(ids, oid)
-    keep = slot < ids.size
-    keep[keep] = ids[slot[keep]] == oid[keep]
-    ix, iy, oid, slot = ix[keep], iy[keep], oid[keep], slot[keep]
-    return LabeledBoundary(
-        cells=np.stack([ix, iy], axis=1),
-        owner_ids=oid,
-        consistency=ev_of[slot],
-        stationarity=st_of[slot],
-    )
+    recs = {i: library.records[i] for i in np.flatnonzero(np.bincount(oid)).tolist()}
+    ev = consistency_override
+    labels = {i: (rec.consistency.mean_consistency if ev is None else ev, rec.stationarity) for i, rec in recs.items()}
+    return LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=oid, labels=labels)
 
 
 def _min_of_cones(pieces, grid_spec: Grid2D, cache) -> Grid2D:
@@ -187,13 +174,9 @@ def _min_of_cones(pieces, grid_spec: Grid2D, cache) -> Grid2D:
 
 
 def build_semantic_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Grid2D, cache=None) -> Grid2D:
-    """Object-aware field: one piece per object, at slope lambda_c * E[v] and its stationarity's bias.
-
-    Grouping per object is exact because the labels are constant within an object.
-    """
-    sels = [boundary.owner_ids == oid for oid in np.unique(boundary.owner_ids)]
-    pieces = [(boundary.cells[s], params.lambda_c * boundary.consistency[s][0],
-               params.bias_for(int(boundary.stationarity[s][0]))) for s in sels]
+    """Object-aware field: a piece per owner, ascending by id, at slope lambda_c * E[v] and its stationarity's bias."""
+    pieces = [(boundary.cells[boundary.owner_ids == oid], params.lambda_c * ev, params.bias_for(st))
+              for oid, (ev, st) in sorted(boundary.labels.items())]
     return _min_of_cones(pieces, grid_spec, cache)
 
 

@@ -49,6 +49,9 @@ class ConsistencyParams:
             raise ValueError("removal_threshold must be in (0, 1)")
         if self.rho_s < 0.0:
             raise ValueError("rho_s must be >= 0")
+        # a new object starts at its prior's mean E[v], and the removal sweep runs on its spawn tick
+        if self.removal_threshold > min(a / (a + b) for a, b in (self.prior_static, self.prior_dynamic)):
+            raise ValueError("removal_threshold must not exceed either prior's mean E[v], a / (a + b)")
 
 
 def initial_state(stationarity: int, params: ConsistencyParams) -> GaussianBetaState:

@@ -47,6 +47,8 @@ class ControllerParams:
             raise ValueError("gamma_bar must lie in (0, 1]")
         if min(self.r_diag) <= 0.0 or min(self.q_diag) < 0.0 or min(self.p_diag) < 0.0:
             raise ValueError("R must be positive definite, Q and P positive semidefinite")
+        if self.classic_epsilon < 0.0:  # a negative margin lets classic mode's hard rows admit h < 0
+            raise ValueError("classic_epsilon must be >= 0")
 
     @property
     def input_bounds(self) -> np.ndarray:

@@ -49,7 +49,6 @@ def plain_edf(m25, theta_zero, params):
     from semnav.barrier import LabeledBoundary, build_plain_edf
 
     ix, iy = np.nonzero(m25.values <= theta_zero)
-    n = ix.size
-    boundary = LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=np.zeros(n, dtype=int),
-                               consistency=np.ones(n), stationarity=np.ones(n, dtype=int))
+    boundary = LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=np.zeros(ix.size, dtype=int),
+                               labels={0: (1.0, 1)} if ix.size else {})
     return build_plain_edf(boundary, params, m25)

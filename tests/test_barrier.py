@@ -17,9 +17,9 @@ from semnav.barrier import (
     extract_labeled_boundary,
     project_2p5d,
 )
-from semnav.consistency import GaussianBetaState
-from semnav.grids import Grid2D
-from semnav.mapping import GlobalTsdf, remove_object, spawn_object
+from semnav.consistency import ConsistencyParams, GaussianBetaState
+from semnav.grids import Grid2D, VoxelGrid3D
+from semnav.mapping import GlobalTsdf, MapParams, ObjectLibrary, ObjectRecord, remove_object, spawn_object
 
 from conftest import make_observation, plain_edf
 
@@ -27,21 +27,36 @@ PARAMS = CbfParams()
 RES = 0.05
 
 
-def boundary_from_cells(grid_spec: Grid2D, cells_by_object):
-    """cells_by_object: list of (cells [(ix,iy)...], ev, s); owner ids are list indices."""
-    cells, owners, evs, sts = [], [], [], []
-    for oid, (cls, ev, s) in enumerate(cells_by_object):
-        for c in cls:
-            cells.append(c)
-            owners.append(oid)
-            evs.append(ev)
-            sts.append(s)
-    return LabeledBoundary(
-        cells=np.array(cells, dtype=int).reshape(-1, 2),
-        owner_ids=np.array(owners, dtype=int),
-        consistency=np.array(evs, dtype=float),
-        stationarity=np.array(sts, dtype=int),
-    )
+def boundary_from_cells(grid_spec: Grid2D, cells_by_object, ids=None):
+    """cells_by_object: list of (cells [(ix,iy)...], ev, s); owner ids are ``ids``, or the list indices."""
+    ids = range(len(cells_by_object)) if ids is None else ids
+    cells, owners, labels = [], [], {}
+    for oid, (cls, ev, s) in zip(ids, cells_by_object):
+        cells.extend(cls)
+        owners.extend([oid] * len(cls))
+        if cls:
+            labels[oid] = (ev, s)
+    return LabeledBoundary(cells=np.array(cells, dtype=int).reshape(-1, 2), owner_ids=np.array(owners, dtype=int),
+                           labels=labels)
+
+
+def extract_labeled_boundary_oracle(m25, owner, theta_zero, library, consistency_override=None):
+    """The per-cell labelling that kept one E[v] and one stationarity per cell, stale owners dropped."""
+    ix, iy = np.nonzero(m25.values <= theta_zero)
+    oid = owner[ix, iy].astype(int)
+    # per-object label tables in ascending id order, looked up by binary search
+    objs = library.objects()
+    ids = np.array([rec.id for rec in objs], dtype=int)
+    ev_of = np.array([rec.consistency.mean_consistency for rec in objs], dtype=float)
+    if consistency_override is not None:
+        ev_of[:] = consistency_override
+    st_of = np.array([rec.stationarity for rec in objs], dtype=int)
+    slot = np.searchsorted(ids, oid)
+    keep = slot < ids.size
+    keep[keep] = ids[slot[keep]] == oid[keep]
+    ix, iy, oid, slot = ix[keep], iy[keep], oid[keep], slot[keep]
+    return SimpleNamespace(cells=np.stack([ix, iy], axis=1), owner_ids=oid, consistency=ev_of[slot],
+                           stationarity=st_of[slot])
 
 
 def cell_centres(boundary: LabeledBoundary, grid_spec: Grid2D) -> np.ndarray:
@@ -54,9 +69,9 @@ def brute_force_edf(boundary: LabeledBoundary, params: CbfParams, grid_spec: Gri
     xs, ys = grid_spec.cell_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     out = np.full(grid_spec.dims, np.inf)
-    for n, (px, py) in enumerate(cell_centres(boundary, grid_spec)):
-        d = np.hypot(gx - px, gy - py)
-        v = params.lambda_c * boundary.consistency[n] * d - params.bias_for(int(boundary.stationarity[n]))
+    for oid, (px, py) in zip(boundary.owner_ids, cell_centres(boundary, grid_spec)):
+        ev, s = boundary.labels[oid]
+        v = params.lambda_c * ev * np.hypot(gx - px, gy - py) - params.bias_for(s)
         np.minimum(out, v, out=out)
     return out
 
@@ -153,8 +168,8 @@ class TestBoundaryExtraction:
         owner[4:8, 4:8] = rec.id
         b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
         assert len(b) == 16
-        assert np.all(b.stationarity == 1)
-        np.testing.assert_allclose(b.consistency, rec.consistency.mean_consistency)
+        assert np.all(b.owner_ids == rec.id)
+        assert b.labels == {rec.id: (rec.consistency.mean_consistency, 1)}
 
     def test_threshold_monotonicity(self, small_library):
         rec = spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))
@@ -168,18 +183,20 @@ class TestBoundaryExtraction:
         loose_set = {tuple(c) for c in loose.cells}
         assert tight_set <= loose_set
 
-    def test_stale_owner_dropped(self, small_library):
+    @pytest.mark.parametrize("stale, error", [(99, KeyError), (-1, ValueError)])
+    def test_owner_outside_library_raises(self, small_library, stale, error):
+        spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))
         m25 = Grid2D.full((0, 0), RES, (16, 16), 0.3)
-        m25.values[3, 3] = 0.0
+        m25.values[3:5, 3] = 0.0
         owner = np.full((16, 16), -1, dtype=int)
-        owner[3, 3] = 99  # not in the library
-        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
-        assert len(b) == 0
+        owner[3, 3], owner[4, 3] = 0, stale  # a live owner beside one the library does not hold
+        with pytest.raises(error):
+            extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
 
     @pytest.mark.parametrize("override", [None, 0.25])
     def test_labels_match_library_records(self, small_library, override):
-        # live ids 0, 2, 3, 5 with distinct E[v] and both stationarity labels;
-        # owners 1 and 4 are stale ids between them, 6 and 40 lie above the largest
+        # live ids 0, 2, 3, 5 with distinct E[v] and both stationarity labels, after
+        # removing 1 and 4; columns above the zero level may have no owner (-1)
         recs = [spawn_object(make_observation([[1.0 + 0.3 * k, 0.0, 0.2]], instance_id=k,
                                               stationarity=k % 2), small_library, (0, 0, 0.3))
                 for k in range(6)]
@@ -190,19 +207,44 @@ class TestBoundaryExtraction:
         rng = np.random.default_rng(3)
         m25 = Grid2D.full((0.2, -0.4), RES, (20, 16), 0.3)
         m25.values[:] = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], size=(20, 16))
-        owner = rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 40], size=(20, 16))
+        owner = rng.choice([0, 2, 3, 5], size=(20, 16))
+        owner[(m25.values > PARAMS.theta_zero) & (rng.random((20, 16)) < 0.5)] = -1
         b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library, consistency_override=override)
-        expected = [(i, j) for i, j in zip(*np.nonzero(m25.values <= PARAMS.theta_zero))
-                    if int(owner[i, j]) in small_library.records]
-        assert 0 < len(expected) < np.count_nonzero(m25.values <= PARAMS.theta_zero)
+        expected = list(zip(*np.nonzero(m25.values <= PARAMS.theta_zero)))
         assert [tuple(c) for c in b.cells] == expected
-        for n, (i, j) in enumerate(expected):
-            rec = small_library.records[int(owner[i, j])]
-            assert b.owner_ids[n] == rec.id
-            assert b.stationarity[n] == rec.stationarity
-            assert b.consistency[n] == (rec.consistency.mean_consistency if override is None else override)
-        assert {int(o) for o in b.owner_ids} == {0, 2, 3, 5}
-        assert set(b.stationarity.tolist()) == {0, 1}
+        assert b.owner_ids.tolist() == [int(owner[i, j]) for i, j in expected]
+        assert b.labels == {rec.id: (rec.consistency.mean_consistency if override is None else override,
+                                     rec.stationarity) for rec in small_library.objects()}
+        assert {s for _, s in b.labels.values()} == {0, 1}
+        assert len({ev for ev, _ in b.labels.values()}) == (4 if override is None else 1)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(2, 6), override=st.sampled_from([None, 0.25]))
+    def test_matches_per_cell_oracle(self, seed, n_objects, override):
+        # live ids with gaps, as after removals, distinct E[v] and both labels; only
+        # columns above the zero level lack an owner, as in a fused map
+        rng = np.random.default_rng(seed)
+        library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
+                                workspace=(-1.0, -2.0, 4.0, 2.0), height=1.0)
+        ids = np.sort(rng.choice(30, size=n_objects, replace=False)).tolist()
+        for k, oid in enumerate(ids):
+            library.records[oid] = ObjectRecord(
+                id=oid, class_id=1, stationarity=k % 2, position=np.zeros(3),
+                consistency=GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k, beta=2.0),
+                tsdf=VoxelGrid3D.empty(np.zeros(3), RES, (1, 1, 1), fill=0.3))
+        shape = tuple(rng.integers(1, 24, size=2))
+        m25 = Grid2D.full((0.2, -0.4), RES, shape, 0.3)
+        m25.values[:] = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], size=shape)
+        owner = rng.choice(ids, size=shape).astype(np.int32)
+        owner[(m25.values > PARAMS.theta_zero) & (rng.random(shape) < 0.5)] = -1
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, library, consistency_override=override)
+        o = extract_labeled_boundary_oracle(m25, owner, PARAMS.theta_zero, library, consistency_override=override)
+        for got, want in ((b.cells, o.cells), (b.owner_ids, o.owner_ids)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert set(b.labels) == set(o.owner_ids.tolist())
+        per_cell = [b.labels[i] for i in b.owner_ids.tolist()]
+        assert np.array_equal(np.array([ev for ev, _ in per_cell], dtype=float), o.consistency)
+        assert np.array_equal(np.array([s for _, s in per_cell], dtype=int), o.stationarity)
 
     def test_consistency_override(self, small_library):
         rec = spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))
@@ -211,7 +253,7 @@ class TestBoundaryExtraction:
         owner = np.full((16, 16), -1, dtype=int)
         owner[3, 3] = rec.id
         b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library, consistency_override=0.25)
-        assert b.consistency[0] == 0.25
+        assert b.labels == {rec.id: (0.25, 1)}
 
 
 class TestSemanticEdf:
@@ -273,9 +315,7 @@ class TestSemanticEdf:
         ]
         cache = {}
         for spec, objects, expected_edts in steps:
-            ids = list(objects)
-            boundary = boundary_from_cells(spec, list(objects.values()))
-            boundary.owner_ids = np.array(ids)[boundary.owner_ids]
+            boundary = boundary_from_cells(spec, list(objects.values()), ids=list(objects))
             del edt_calls[:]
             cached = build_semantic_edf(boundary, PARAMS, spec, cache=cache)
             transforms = len(edt_calls)

@@ -272,6 +272,24 @@ def test_plain_field_matches_threshold_oracle_every_tick(scenario_dir, monkeypat
     assert len(reused) == len(rec.rows) and sum(reused) > 0
 
 
+@pytest.mark.parametrize("name, mode", [("drawer_shift.json", MODE_SEMANTIC), ("drawer_gap.json", MODE_NONSEMANTIC)])
+def test_boundary_keeps_every_zero_level_cell(scenario_dir, monkeypatch, name, mode):
+    # a fused voxel with no owner holds the truncation value, above theta_zero, so every
+    # zero-level cell has a live owner, also while drawer_shift removes and respawns objects
+    real = runner_mod.extract_labeled_boundary
+    counts = []
+
+    def spy(m25, owner, theta_zero, library, consistency_override=None):
+        boundary = real(m25, owner, theta_zero, library, consistency_override)
+        counts.append((len(boundary), int(np.count_nonzero(m25.values <= theta_zero))))
+        return boundary
+
+    monkeypatch.setattr(runner_mod, "extract_labeled_boundary", spy)
+    rec = run_closed_loop(replace(load_scenario(scenario_dir / name), mode=mode))
+    assert len(counts) == len(rec.rows) and sum(n for n, _ in counts) > 0
+    assert all(n == zero_level for n, zero_level in counts)
+
+
 def checked_projection(monkeypatch, ticks):
     """Wrap the runner's fused projection so every tick compares it with the full-grid oracle's."""
     real = runner_mod._workspace_projection

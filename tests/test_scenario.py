@@ -185,6 +185,8 @@ def _dotted(path) -> str:
     (("consistency", "rho_s"), -3),  # silently skipped by the update
     (("snapshot_ticks",), [-1]),  # never exported
     (("snapshot_ticks",), [0, 150]),  # never exported: the 30 s run at dt = 0.2 has ticks 0 to 149
+    (("controller", "classic_epsilon"), -5),  # classic mode's hard rows admit h >= -5, so the robot may collide
+    (("consistency", "removal_threshold"), 0.65),  # above the dynamic prior's 0.6: removed on the tick they spawn
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
 def test_load_rejects_values_that_would_crash_the_run_or_be_coerced(path, value):
     data = copy.deepcopy(dict(MINIMAL, events=[{"time": 1.0, "object_id": 0, "action": "remove"}]))
@@ -231,6 +233,17 @@ def test_goal_just_beyond_tolerance_and_theta_zero_just_below_truncation_load():
     sc = scenario_from_dict(dict(MINIMAL, robot={"start": [0.0, 0.0, 0.0], "goal": [0.1001, 0.0, 0.0]},
                                  cbf={"theta_zero": 0.29}))
     assert sc.goal[0] == 0.1001 and sc.cbf.theta_zero == 0.29
+
+
+def test_prior_mean_below_the_removal_threshold_is_reported_at_the_threshold():
+    # a new object starts at its prior's mean E[v], and the removal sweep runs on its spawn tick
+    with pytest.raises(ScenarioError, match=r"^consistency\.removal_threshold: "):
+        scenario_from_dict(dict(MINIMAL, consistency={"prior_dynamic": [3, 7]}))
+
+
+def test_zero_classic_epsilon_and_a_threshold_at_the_dynamic_prior_mean_load():
+    sc = scenario_from_dict(dict(MINIMAL, controller={"classic_epsilon": 0}, consistency={"removal_threshold": 0.6}))
+    assert sc.controller.classic_epsilon == 0.0 and sc.consistency.removal_threshold == 0.6
 
 
 @pytest.mark.parametrize("duration, last", [(30.0, 149), (0.4, 1), (0.5, 2), (0.6, 2)])
