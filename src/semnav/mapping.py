@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .consistency import ConsistencyParams, GaussianBetaState, initial_state
-from .grids import VoxelGrid3D, snap_to_lattice
+from .grids import Grid2D, VoxelGrid3D, snap_to_lattice
 from .world import SemanticPointCloud
 
 FORBIDDEN_COST = 1.0e6
@@ -96,6 +96,7 @@ class ObjectLibrary:
         nz = int(np.ceil(round(self.height / res, 9)))
         self.grid_origin = np.array([ox, oy, 0.0])
         self.grid_dims = (nx, ny, nz)
+        self.grid_spec = Grid2D.full(self.grid_origin[:2], res, (nx, ny), 0.0)  # the 2D lattice the barrier is built on
 
     def objects(self) -> list[ObjectRecord]:
         return [self.records[k] for k in sorted(self.records)]

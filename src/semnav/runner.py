@@ -16,6 +16,7 @@ import numpy as np
 from . import scenario as sc
 from .barrier import (
     CbfField,
+    CbfParams,
     build_cbf_field,
     build_plain_edf,
     build_semantic_edf,
@@ -24,7 +25,6 @@ from .barrier import (
 )
 from .consistency import compute_delta, update_consistency
 from .geometry import point_box_distance, rot2d
-from .grids import Grid2D
 from .mapping import (
     GlobalTsdf,
     ObjectLibrary,
@@ -106,23 +106,19 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     return replace(cloud, points=pts)
 
 
-def _workspace_projection(library: ObjectLibrary, theta_z: float):
-    """Fused block, and its 2.5D projection and owners padded to the workspace grid as unobserved columns."""
+def _block_boundary(library: ObjectLibrary, cbf: CbfParams, consistency_override: float | None):
+    """Fused block, and its projection's labelled boundary with cells on the workspace lattice."""
     global_map = fuse_global_tsdf(library)
-    block, block_owner = project_2p5d(global_map, theta_z)
-    m25 = Grid2D.full(library.grid_origin[:2], block.resolution, library.grid_dims[:2], library.params.truncation)
-    owner = np.full(m25.dims, -1, dtype=np.int32)
-    i, j = np.round((block.origin - m25.origin) / block.resolution).astype(int)
-    sl = np.s_[i : i + block.dims[0], j : j + block.dims[1]]
-    m25.values[sl], owner[sl] = block.values, block_owner
-    return global_map, m25, owner
+    block, owner = project_2p5d(global_map, cbf.theta_z)
+    boundary = extract_labeled_boundary(block, owner, cbf.theta_zero, library, consistency_override)
+    boundary.cells += np.round((block.origin - library.grid_spec.origin) / block.resolution).astype(int)
+    return global_map, boundary
 
 
 def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
-    global_map, m25, owner = _workspace_projection(library, scenario.cbf.theta_z)
-    boundary = extract_labeled_boundary(m25, owner, scenario.cbf.theta_zero, library, scenario.consistency_override)
+    global_map, boundary = _block_boundary(library, scenario.cbf, scenario.consistency_override)
     build_edf = build_semantic_edf if scenario.mode == sc.MODE_SEMANTIC else build_plain_edf
-    edf = build_edf(boundary, scenario.cbf, m25, cache=edf_cache)
+    edf = build_edf(boundary, scenario.cbf, library.grid_spec, cache=edf_cache)
     return build_cbf_field(edf, scenario.cbf), global_map
 
 
@@ -172,7 +168,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
 
         cloud = render_depth(world, state, scenario.camera, render_seed)
         est = estimate_pose(state, (scenario.pose_noise_xy, scenario.pose_noise_theta), pose_seed)
-        if est is not state:  # estimate_pose returns the true pose itself when noise-free
+        if scenario.pose_noise_xy > 0.0 or scenario.pose_noise_theta > 0.0:
             cloud = _remap_cloud(cloud, state, est)
         sensor_origin = (est.x, est.y, scenario.camera.mount_height)
 

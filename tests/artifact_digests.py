@@ -8,15 +8,22 @@ Per run it prints the sha256 of ``trajectory.csv``, each ``field_*.csv``,
 ``run.svg`` and ``metrics.txt`` without its two wall-clock lines, then one line
 per tick with the plan's status, max slack, objective, ``h_values`` and
 iterations. It measures no time.
+
+The directory ``semnav`` was imported from goes to stderr; when it is not under
+the first PYTHONPATH entry (a mistyped path falls back to an installed
+``semnav``), the script prints nothing to stdout and exits 2.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import semnav
 from semnav.report import emit_outputs
 from semnav.runner import run_closed_loop
 from semnav.scenario import MODES, load_scenario
@@ -52,7 +59,18 @@ def artifact_digests(out: Path) -> list[tuple[str, str]]:
     return digests
 
 
+def imported_from_pythonpath() -> bool:
+    """Write where ``semnav`` came from to stderr; whether that is under the first PYTHONPATH entry."""
+    where = Path(semnav.__file__).resolve().parent
+    print(f"semnav imported from {where}", file=sys.stderr)
+    first = os.environ.get("PYTHONPATH", "").split(os.pathsep)[0]
+    return bool(first) and where.is_relative_to(Path(first).resolve())
+
+
 def main() -> None:
+    if not imported_from_pythonpath():
+        print("semnav is not under the first PYTHONPATH entry; set PYTHONPATH=<checkout>/src", file=sys.stderr)
+        sys.exit(2)
     for label, sc in matrix():
         record = run_closed_loop(sc)
         with tempfile.TemporaryDirectory() as tmp:

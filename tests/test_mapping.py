@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import semnav.runner as runner_mod
-from semnav.barrier import project_2p5d
+from semnav.barrier import CbfParams, extract_labeled_boundary, project_2p5d
 from semnav.consistency import ConsistencyParams, initial_state
 from semnav.grids import VoxelGrid3D
 from semnav.mapping import (
@@ -117,8 +117,22 @@ def fuse_global_tsdf_oracle(library):
     return GlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
 
 
+def assert_boundaries_equal(got, want):
+    """Two labelled boundaries hold the same cells in the same order, owners and labels, byte for byte."""
+    assert got.cells.dtype == want.cells.dtype and got.cells.shape == want.cells.shape
+    assert got.cells.tobytes() == want.cells.tobytes()
+    assert got.owner_ids.dtype == want.owner_ids.dtype and got.owner_ids.tobytes() == want.owner_ids.tobytes()
+    assert list(got.labels.items()) == list(want.labels.items())
+
+
+def oracle_boundary(library, cbf, consistency_override=None):
+    """The labelled boundary of the full-grid oracle's projection, and that projection."""
+    ref, ref_owner = project_2p5d(fuse_global_tsdf_oracle(library), cbf.theta_z)
+    return extract_labeled_boundary(ref, ref_owner, cbf.theta_zero, library, consistency_override), ref, ref_owner
+
+
 def assert_block_matches_oracle(library, theta_z):
-    """The block is the oracle on its extent, the oracle is unobserved off it, and the padded projection is the oracle's."""
+    """The block is the oracle on its extent, the oracle is unobserved off it, and the runner's boundary is the oracle's."""
     block = fuse_global_tsdf(library)
     oracle = fuse_global_tsdf_oracle(library)
     res = library.params.resolution
@@ -137,15 +151,14 @@ def assert_block_matches_oracle(library, theta_z):
     assert np.all(oracle.values[outside] == library.params.truncation)
     assert np.all(oracle.owner[outside] == -1)
 
-    global_map, m25, owner = runner_mod._workspace_projection(library, theta_z)
-    ref, ref_owner = project_2p5d(oracle, theta_z)
+    cbf = CbfParams(theta_z=theta_z)
+    global_map, boundary = runner_mod._block_boundary(library, cbf, None)
+    want, ref, ref_owner = oracle_boundary(library, cbf)
     assert global_map.values.tobytes() == block.values.tobytes()
-    assert m25.origin.tobytes() == ref.origin.tobytes() and m25.resolution == ref.resolution
-    assert m25.values.dtype == ref.values.dtype and m25.values.shape == ref.values.shape
-    assert m25.values.tobytes() == ref.values.tobytes()
-    assert owner.dtype == ref_owner.dtype and owner.shape == ref_owner.shape
-    assert owner.tobytes() == ref_owner.tobytes()
-    return block, m25, owner
+    spec = library.grid_spec
+    assert spec.origin.tobytes() == ref.origin.tobytes() and spec.resolution == ref.resolution and spec.dims == ref.dims
+    assert_boundaries_equal(boundary, want)
+    return block, boundary, ref, ref_owner
 
 
 def loop_association(observations, library):
@@ -505,21 +518,54 @@ class TestBlockFusion:
                 integrate_observation(rec, make_observation(moved), sensor, library.params)
         assert_block_matches_oracle(library, theta_z=0.5)
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           where=st.lists(st.integers(0, 5), max_size=7), removed=st.sets(st.integers(0, 6), max_size=2),
+           override=st.none() | st.floats(0.1, 1.0))
+    def test_shifted_block_boundary_matches_full_grid_oracle(self, seed, corner, where, removed, override):
+        # a 3 x 2 m workspace whose low corner is mostly off the lattice; each object
+        # straddles one workspace edge, sits inside, or (5) lies wholly outside, with
+        # either label; some are removed again, and no objects is the empty library
+        rng = np.random.default_rng(seed)
+        x0, y0 = corner
+        library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
+                                workspace=(x0, y0, x0 + 3.0, y0 + 2.0), height=0.5)
+        sensor = (x0 + 1.5, y0 + 1.0, 2.0)
+        for k, w in enumerate(where):
+            center = [x0 + 6.0, y0 + 4.0] if w == 5 else np.add(corner, self.STRADDLE[w]) + [0.0, 1.0]
+            center = np.append(np.add(center, rng.uniform(-0.2, 0.2, size=2)), 0.25)
+            pts = center + rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 20)), 3))
+            obs = make_observation(pts, instance_id=k, stationarity=int(rng.integers(0, 2)))
+            spawn_object(obs, library, sensor)
+        for oid in removed & set(library.records):
+            remove_object(library, oid)
+        cbf = CbfParams(theta_z=0.5)
+        _, boundary = runner_mod._block_boundary(library, cbf, override)
+        want, _, _ = oracle_boundary(library, cbf, override)
+        assert_boundaries_equal(boundary, want)
+
     def test_block_reaches_each_workspace_edge(self):
         library = self._library()
         for k, center in enumerate(self.STRADDLE[:4]):
             pts = np.array([[center[0], center[1], 0.25], [center[0] + 0.05, center[1] + 0.05, 0.3]])
             spawn_object(make_observation(pts, instance_id=k), library, (1.5, 0.0, 2.0))
-        block, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
+        block, boundary, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
         np.testing.assert_array_equal(block.origin, library.grid_origin)
         assert block.dims == library.grid_dims
+        # boundary cells in the workspace grid's first and last rows and columns
+        assert boundary.cells.min(axis=0).tolist() == [0, 0]
+        assert (boundary.cells.max(axis=0) + 1).tolist() == list(library.grid_dims[:2])
 
     def test_block_covers_only_the_objects_columns(self):
         library = self._library()
         spawn_object(make_observation([[1.5, 0.0, 0.25]]), library, (1.5, 0.0, 2.0))
-        block, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
+        block, boundary, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
         assert block.origin[0] > library.grid_origin[0] and block.origin[1] > library.grid_origin[1]
         assert block.dims[0] < library.grid_dims[0] and block.dims[1] < library.grid_dims[1]
+        # the shift is not zero, and every cell lands in the block's columns of the workspace grid
+        lo = np.round((block.origin[:2] - library.grid_origin[:2]) / library.params.resolution).astype(int)
+        assert len(boundary) > 0 and np.all(lo > 0)
+        assert np.all(boundary.cells >= lo) and np.all(boundary.cells < lo + block.dims[:2])
 
     @pytest.mark.parametrize("case", ["empty", "removed", "outside"])
     def test_zero_extent_block_projects_to_unobserved(self, case):
@@ -529,11 +575,12 @@ class TestBlockFusion:
             remove_object(library, rec.id)
         elif case == "outside":
             spawn_object(make_observation([[6.0, 4.0, 0.25]]), library, (1.5, 0.0, 2.0))
-        block, m25, owner = assert_block_matches_oracle(library, theta_z=0.5)
+        block, boundary, ref, ref_owner = assert_block_matches_oracle(library, theta_z=0.5)
         assert block.dims == (0, 0, library.grid_dims[2])
         np.testing.assert_array_equal(block.origin, library.grid_origin)
-        assert m25.dims == library.grid_dims[:2]
-        assert np.all(m25.values == library.params.truncation) and np.all(owner == -1)
+        assert ref.dims == library.grid_dims[:2]
+        assert np.all(ref.values == library.params.truncation) and np.all(ref_owner == -1)
+        assert len(boundary) == 0 and boundary.cells.shape == (0, 2) and boundary.labels == {}
 
 
 class TestSpawnRemove:

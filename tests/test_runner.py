@@ -14,7 +14,7 @@ from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, Scena
 from semnav.world import ControlInput, RobotState, WorldObject
 
 from test_barrier import plain_edf_oracle
-from test_mapping import fuse_global_tsdf_oracle
+from test_mapping import assert_boundaries_equal, fuse_global_tsdf_oracle, oracle_boundary
 
 
 def open_scenario(**kw):
@@ -253,23 +253,30 @@ def test_distance_cache_matches_fresh_field_every_tick(scenario_dir, monkeypatch
 
 @pytest.mark.parametrize("mode", [MODE_NONSEMANTIC, MODE_CLASSIC])
 def test_plain_field_matches_threshold_oracle_every_tick(scenario_dir, monkeypatch, mode):
-    # the runner's labelled boundary is every zero-level cell of the projection
-    # it passes as grid_spec, and the run's cache changes no bit
+    # the runner's field is one transform of every zero-level cell of the full-grid
+    # oracle's projection, and the run's cache changes no bit
     real = runner_mod.build_plain_edf
-    reused = []
+    libraries, reused = [], []
+
+    def fuse(library):
+        libraries.append(library)
+        return fuse_global_tsdf(library)
 
     def checked(boundary, params, grid_spec, cache=None):
         before = set(cache)
         edf = real(boundary, params, grid_spec, cache=cache)
         fresh = real(boundary, params, grid_spec)
-        oracle = plain_edf_oracle(grid_spec, params.theta_zero, params)
+        m25, _ = project_2p5d(fuse_global_tsdf_oracle(libraries[-1]), params.theta_z)
+        oracle = plain_edf_oracle(m25, params.theta_zero, params)
+        assert edf.origin.tobytes() == oracle.origin.tobytes()
         assert edf.values.tobytes() == fresh.values.tobytes() == oracle.values.tobytes()
         reused.append(len(before & set(cache)))
         return edf
 
+    monkeypatch.setattr(runner_mod, "fuse_global_tsdf", fuse)
     monkeypatch.setattr(runner_mod, "build_plain_edf", checked)
     rec = run_closed_loop(replace(load_scenario(scenario_dir / "drawer_gap.json"), mode=mode))
-    assert len(reused) == len(rec.rows) and sum(reused) > 0
+    assert len(reused) == len(libraries) == len(rec.rows) and sum(reused) > 0
 
 
 @pytest.mark.parametrize("name, mode", [("drawer_shift.json", MODE_SEMANTIC), ("drawer_gap.json", MODE_NONSEMANTIC)])
@@ -290,22 +297,20 @@ def test_boundary_keeps_every_zero_level_cell(scenario_dir, monkeypatch, name, m
     assert all(n == zero_level for n, zero_level in counts)
 
 
-def checked_projection(monkeypatch, ticks):
-    """Wrap the runner's fused projection so every tick compares it with the full-grid oracle's."""
-    real = runner_mod._workspace_projection
+def checked_boundary(monkeypatch, ticks):
+    """Wrap the runner's block boundary so every tick compares it with the full-grid oracle's."""
+    real = runner_mod._block_boundary
 
-    def checked(library, theta_z):
-        global_map, m25, owner = real(library, theta_z)
-        ref, ref_owner = project_2p5d(fuse_global_tsdf_oracle(library), theta_z)
-        assert m25.origin.tobytes() == ref.origin.tobytes()
-        assert m25.values.dtype == ref.values.dtype and m25.values.shape == ref.values.shape
-        assert m25.values.tobytes() == ref.values.tobytes()
-        assert owner.dtype == ref_owner.dtype and owner.tobytes() == ref_owner.tobytes()
-        unobserved = bool(np.all(m25.values == library.params.truncation) and np.all(owner == -1))
-        ticks.append((global_map.dims, library.grid_dims, unobserved))
-        return global_map, m25, owner
+    def checked(library, cbf, consistency_override):
+        global_map, boundary = real(library, cbf, consistency_override)
+        want, ref, ref_owner = oracle_boundary(library, cbf, consistency_override)
+        assert library.grid_spec.origin.tobytes() == ref.origin.tobytes() and library.grid_spec.dims == ref.dims
+        assert_boundaries_equal(boundary, want)
+        unobserved = bool(np.all(ref.values == library.params.truncation) and np.all(ref_owner == -1))
+        ticks.append((global_map.dims, library.grid_dims, unobserved, len(boundary)))
+        return global_map, boundary
 
-    monkeypatch.setattr(runner_mod, "_workspace_projection", checked)
+    monkeypatch.setattr(runner_mod, "_block_boundary", checked)
 
 
 @pytest.mark.parametrize("name, seed", [("drawer_shift.json", None), ("wall_sweep.json", 311256609)])
@@ -316,17 +321,38 @@ def test_block_projection_matches_full_grid_oracle_every_tick(scenario_dir, monk
     if seed is not None:
         sc = replace(sc, seed=seed)
     ticks = []
-    checked_projection(monkeypatch, ticks)
+    checked_boundary(monkeypatch, ticks)
     rec = run_closed_loop(sc)
     assert len(ticks) == len(rec.rows)
-    # some ticks fuse a block smaller than the workspace
-    assert any(b[0] * b[1] < g[0] * g[1] for b, g, _ in ticks)
+    # some ticks fuse a block smaller than the workspace, and extract boundary cells from it
+    assert any(b[0] * b[1] < g[0] * g[1] and n > 0 for b, g, _, n in ticks)
 
 
 def test_open_goal_projects_an_unobserved_workspace(scenario_dir, monkeypatch):
-    # no objects: every tick fuses a zero-extent block and pads it to all truncation, no owner
+    # no objects: every tick fuses a zero-extent block, the oracle projects an
+    # unobserved workspace, and neither has a boundary cell
     ticks = []
-    checked_projection(monkeypatch, ticks)
+    checked_boundary(monkeypatch, ticks)
     rec = run_closed_loop(load_scenario(scenario_dir / "open_goal.json"))
     assert len(ticks) == len(rec.rows) > 0
-    assert all(b == (0, 0, g[2]) and unobserved for b, g, unobserved in ticks)
+    assert all(b == (0, 0, g[2]) and unobserved and n == 0 for b, g, unobserved, n in ticks)
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.005), (0.01, 0.005)])
+def test_cloud_is_remapped_exactly_when_the_pose_is_noisy(monkeypatch, noise):
+    # the scenario's sigmas decide; a noisy estimate differs from the true pose on every tick
+    real = runner_mod._remap_cloud
+    calls = []
+
+    def spy(cloud, true_pose, est_pose):
+        calls.append(est_pose != true_pose)
+        return real(cloud, true_pose, est_pose)
+
+    monkeypatch.setattr(runner_mod, "_remap_cloud", spy)
+    sc = open_scenario(pose_noise_xy=noise[0], pose_noise_theta=noise[1], seed=3, duration=2.0,
+                       objects=[WorldObject(id=0, center=(1.5, 0.8), yaw=0.0, half_extents=(0.2, 0.3, 0.3),
+                                            class_id=1, stationarity=1)])
+    rec = run_closed_loop(sc)
+    assert len(rec.rows) == 10
+    assert calls == ([True] * len(rec.rows) if any(noise) else [])
+    assert all((r.est_pose == r.true_pose) != any(noise) for r in rec.rows)
