@@ -38,7 +38,6 @@ class MapParams:
 class Observation:
     """One instance-segmented group of labelled surface points."""
 
-    instance_id: int
     class_id: int
     stationarity: int
     points: np.ndarray  # (N, 3)
@@ -110,7 +109,6 @@ def segment_observations(cloud: SemanticPointCloud) -> list[Observation]:
         pts = cloud.points[mask]
         out.append(
             Observation(
-                instance_id=int(inst),
                 class_id=int(cloud.class_ids[mask][0]),
                 stationarity=int(cloud.stationarity[mask][0]),
                 points=pts,

@@ -20,9 +20,6 @@ from .geometry import wrap_angle
 from .qp import QpProblem, QpSolution, solve_qp
 from .world import ControlInput
 
-MODE_CBF = "cbf"
-MODE_CLASSIC = "classic"
-
 
 @dataclass(frozen=True)
 class ControllerParams:
@@ -112,12 +109,13 @@ def build_qp(
     prev_traj: PredictedTrajectory,
     field_: CbfField,
     goal: np.ndarray,
-    mode: str = MODE_CBF,
     *,
+    classic: bool = False,
     workspace: tuple[float, float, float, float],
 ) -> QpProblem:
-    """Condensed QP in the inputs u (3T) and, in CBF mode, the slacks (T).
+    """Condensed QP in the inputs u (3T) and, unless ``classic``, the slacks (T).
 
+    ``classic`` imposes hard barrier positivity in place of the softened decay rows.
     ``workspace`` (xmin, ymin, xmax, ymax) bounds x and y of every predicted state.
 
     Single-integrator dynamics make every predicted state exact and affine in
@@ -127,12 +125,10 @@ def build_qp(
     depend on u (the k = 0 workspace and classic rows) stay: they carry the
     feasibility of the current state.
     """
-    if mode not in (MODE_CBF, MODE_CLASSIC):
-        raise ValueError(f"unknown controller mode {mode!r}")
     T = params.horizon
     x_t = np.asarray(x_t, dtype=float)
     n_u = 3 * T
-    n_slack = T if mode == MODE_CBF else 0
+    n_slack = 0 if classic else T
     S = np.zeros((3 * (T + 1), 3 * T))  # dt * I_3 in every block below the block diagonal
     for a in range(3):
         S[a::3, a::3] = params.dt * np.tri(T + 1, T, -1)
@@ -167,7 +163,7 @@ def build_qp(
     rhs = [bounds, bounds, np.tile([xmax, ymax], T + 1) - pos, pos - np.tile([xmin, ymin], T + 1)]
 
     b, A = linearize_barrier(field_, prev_traj.states, x_t, S_k)
-    if mode == MODE_CBF:
+    if not classic:
         # linearized decay h_{k+1} - (1 - gamma) h_k + sigma_k >= 0, and sigma_k >= 0
         keep = 1.0 - params.gamma_bar
         G[n_box : n_box + T, :n_u] = keep * A[:T] - A[1:]
@@ -211,23 +207,23 @@ def mpc_step(
     prev_traj: PredictedTrajectory,
     field_: CbfField,
     goal: np.ndarray,
-    mode: str = MODE_CBF,
     *,
+    classic: bool = False,
     workspace: tuple[float, float, float, float],
 ) -> tuple[ControlInput, PredictedTrajectory]:
     """Solve one receding-horizon step about the last plan; return the first input and the new plan.
 
     ``prev_traj`` is the last tick's plan, or ``hold_trajectory`` at the first. A
     degraded solve (iteration cap, typically an infeasible hard-constrained
-    program) brakes in classic mode and, in CBF mode, repeats the previous
+    program) brakes when ``classic`` and otherwise repeats the previous
     applied input clipped to the input box. Either way the plan becomes a hold
     with zero inputs, so a second degraded tick in a row brakes.
     """
     x_t = np.asarray(x_t, dtype=float)
-    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, mode, workspace=workspace))
+    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, classic=classic, workspace=workspace))
 
     if sol.degraded:
-        if mode == MODE_CLASSIC:
+        if classic:
             u = np.zeros(3)
         else:
             u = np.clip(prev_traj.inputs[0], -params.input_bounds, params.input_bounds)

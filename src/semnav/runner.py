@@ -35,7 +35,7 @@ from .mapping import (
     segment_observations,
     spawn_object,
 )
-from .mpc import MODE_CBF, MODE_CLASSIC, PredictedTrajectory, hold_trajectory, mpc_step
+from .mpc import PredictedTrajectory, hold_trajectory, mpc_step
 from .world import (
     ControlInput,
     RobotState,
@@ -115,13 +115,6 @@ def _block_boundary(library: ObjectLibrary, cbf: CbfParams, consistency_override
     return global_map, boundary
 
 
-def _build_field(scenario: sc.Scenario, library: ObjectLibrary, edf_cache: dict):
-    global_map, boundary = _block_boundary(library, scenario.cbf, scenario.consistency_override)
-    build_edf = build_semantic_edf if scenario.mode == sc.MODE_SEMANTIC else build_plain_edf
-    edf = build_edf(boundary, scenario.cbf, library.grid_spec, cache=edf_cache)
-    return build_cbf_field(edf, scenario.cbf), global_map
-
-
 def _in_collision(pose: RobotState, world) -> bool:
     return any(
         point_box_distance(pose.x, pose.y, o.center, o.yaw, o.half_extents[0], o.half_extents[1]) == 0.0
@@ -142,8 +135,9 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
     )
     edf_cache: dict = {}  # per-piece distance transforms, carried across this run's ticks
     ctrl = scenario.controller
-    mode = MODE_CLASSIC if scenario.mode == sc.MODE_CLASSIC else MODE_CBF
     gate = 1.5 * scenario.consistency.sigma_m  # discrepancy gate for map integration
+    classic = scenario.mode == sc.MODE_CLASSIC
+    build_edf = build_semantic_edf if scenario.mode == sc.MODE_SEMANTIC else build_plain_edf
 
     rng = np.random.default_rng(scenario.seed)
     state = RobotState(*scenario.start)
@@ -197,7 +191,9 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 remove_object(library, rec.id)
                 record.removed_objects.append((t_now, rec.id))
 
-        cbf_field, global_map = _build_field(scenario, library, edf_cache)
+        global_map, boundary = _block_boundary(library, scenario.cbf, scenario.consistency_override)
+        edf = build_edf(boundary, scenario.cbf, library.grid_spec, cache=edf_cache)
+        cbf_field = build_cbf_field(edf, scenario.cbf)
         if tick in scenario.snapshot_ticks:
             record.field_snapshots[tick] = cbf_field
         record.final_field = cbf_field
@@ -205,7 +201,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
 
         solve_start = time.perf_counter()
         u, prev_traj = mpc_step(
-            ctrl, est.as_array(), prev_traj, cbf_field, goal, mode=mode, workspace=scenario.workspace
+            ctrl, est.as_array(), prev_traj, cbf_field, goal, classic=classic, workspace=scenario.workspace
         )
         solve_time = time.perf_counter() - solve_start
 

@@ -30,13 +30,12 @@ def small_library() -> ObjectLibrary:
     )
 
 
-def make_observation(points, instance_id=0, class_id=1, stationarity=1):
+def make_observation(points, class_id=1, stationarity=1):
     from semnav.mapping import Observation
 
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     centroid = points.mean(axis=0) if len(points) else np.zeros(3)
     return Observation(
-        instance_id=instance_id,
         class_id=class_id,
         stationarity=stationarity,
         points=points,

@@ -197,8 +197,8 @@ class TestBoundaryExtraction:
     def test_labels_match_library_records(self, small_library, override):
         # live ids 0, 2, 3, 5 with distinct E[v] and both stationarity labels, after
         # removing 1 and 4; columns above the zero level may have no owner (-1)
-        recs = [spawn_object(make_observation([[1.0 + 0.3 * k, 0.0, 0.2]], instance_id=k,
-                                              stationarity=k % 2), small_library, (0, 0, 0.3))
+        recs = [spawn_object(make_observation([[1.0 + 0.3 * k, 0.0, 0.2]], stationarity=k % 2),
+                             small_library, (0, 0, 0.3))
                 for k in range(6)]
         for k, rec in enumerate(recs):
             rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k, beta=2.0)
@@ -380,8 +380,8 @@ class TestCbfField:
         assert edf.values[30, 10] == pytest.approx(0.5 - PARAMS.bias)
 
     def test_semantic_with_pinned_labels_equals_plain(self, small_library):
-        rec1 = spawn_object(make_observation([[1.0, 0.0, 0.2]], instance_id=0), small_library, (0, 0, 0.3))
-        rec2 = spawn_object(make_observation([[2.0, 1.0, 0.2]], instance_id=1), small_library, (0, 0, 0.3))
+        rec1 = spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))
+        rec2 = spawn_object(make_observation([[2.0, 1.0, 0.2]]), small_library, (0, 0, 0.3))
         m25 = Grid2D.full((0.0, 0.0), RES, (64, 64), 0.3)
         owner = np.full((64, 64), -1, dtype=int)
         m25.values[10:14, 20:30] = 0.04

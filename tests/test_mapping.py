@@ -220,7 +220,7 @@ class TestAssociation:
     def _library_with(self, positions, classes, small_library):
         origin = (0.0, 0.0, 0.3)
         for k, (p, c) in enumerate(zip(positions, classes)):
-            obs = make_observation(np.array(p) + np.array([[0, 0, 0], [0.05, 0, 0]]), instance_id=k, class_id=c)
+            obs = make_observation(np.array(p) + np.array([[0, 0, 0], [0.05, 0, 0]]), class_id=c)
             spawn_object(obs, small_library, origin)
         return small_library
 
@@ -281,7 +281,7 @@ class TestAssociation:
                 id=int(oid), class_id=int(rng.integers(n_classes)), stationarity=1, position=p,
                 consistency=initial_state(1, library.consistency_params),
                 tsdf=VoxelGrid3D.empty(p, 0.05, (1, 1, 1), fill=0.3))
-        obs = [make_observation(c, instance_id=k, class_id=int(rng.integers(n_classes)))
+        obs = [make_observation(c, class_id=int(rng.integers(n_classes)))
                for k, c in enumerate(draw(n_obs))]
         assert associate_observations(obs, library) == loop_association(obs, library)
 
@@ -450,7 +450,7 @@ class TestFusion:
             if not (twins and k % 2):
                 pts = rng.uniform([0.8, -0.3, 0.1], [1.4, 0.3, 0.5], size=(int(rng.integers(1, 30)), 3))
                 moved = pts + rng.uniform(-0.4, 0.4, size=3)
-            rec = spawn_object(make_observation(pts, instance_id=k), library, sensor)
+            rec = spawn_object(make_observation(pts), library, sensor)
             if grow:
                 dims = rec.tsdf.dims
                 integrate_observation(rec, make_observation(moved), sensor, library.params)
@@ -478,8 +478,8 @@ class TestFusion:
 
     def test_order_invariance_and_tie_break(self, small_library):
         pts = [[1.0, 0.0, 0.2], [1.0, 0.05, 0.2]]
-        a = spawn_object(make_observation(pts, instance_id=0), small_library, (0.0, 0.0, 0.3))
-        b = spawn_object(make_observation(pts, instance_id=1), small_library, (0.0, 0.0, 0.3))
+        a = spawn_object(make_observation(pts), small_library, (0.0, 0.0, 0.3))
+        b = spawn_object(make_observation(pts), small_library, (0.0, 0.0, 0.3))
         g = fuse_global_tsdf(small_library)
         # identical contributions: the lower id owns every contested voxel
         contested = g.owner >= 0
@@ -513,7 +513,7 @@ class TestBlockFusion:
                 center = np.append(np.add(center, rng.uniform(-0.3, 0.3, size=2)), 0.25)
                 pts = center + rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 30)), 3))
                 moved = pts + np.append(rng.uniform(-0.4, 0.4, size=2), 0.0)
-            rec = spawn_object(make_observation(pts, instance_id=k), library, sensor)
+            rec = spawn_object(make_observation(pts), library, sensor)
             if grow:
                 integrate_observation(rec, make_observation(moved), sensor, library.params)
         assert_block_matches_oracle(library, theta_z=0.5)
@@ -535,7 +535,7 @@ class TestBlockFusion:
             center = [x0 + 6.0, y0 + 4.0] if w == 5 else np.add(corner, self.STRADDLE[w]) + [0.0, 1.0]
             center = np.append(np.add(center, rng.uniform(-0.2, 0.2, size=2)), 0.25)
             pts = center + rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 20)), 3))
-            obs = make_observation(pts, instance_id=k, stationarity=int(rng.integers(0, 2)))
+            obs = make_observation(pts, stationarity=int(rng.integers(0, 2)))
             spawn_object(obs, library, sensor)
         for oid in removed & set(library.records):
             remove_object(library, oid)
@@ -548,7 +548,7 @@ class TestBlockFusion:
         library = self._library()
         for k, center in enumerate(self.STRADDLE[:4]):
             pts = np.array([[center[0], center[1], 0.25], [center[0] + 0.05, center[1] + 0.05, 0.3]])
-            spawn_object(make_observation(pts, instance_id=k), library, (1.5, 0.0, 2.0))
+            spawn_object(make_observation(pts), library, (1.5, 0.0, 2.0))
         block, boundary, _, _ = assert_block_matches_oracle(library, theta_z=0.5)
         np.testing.assert_array_equal(block.origin, library.grid_origin)
         assert block.dims == library.grid_dims
@@ -594,7 +594,7 @@ class TestSpawnRemove:
 
     def test_ids_strictly_increase(self, small_library):
         ids = [
-            spawn_object(make_observation([[1.0, k * 0.1, 0.2]], instance_id=k), small_library, (0, 0, 0.3)).id
+            spawn_object(make_observation([[1.0, k * 0.1, 0.2]]), small_library, (0, 0, 0.3)).id
             for k in range(4)
         ]
         assert ids == sorted(ids) and len(set(ids)) == 4

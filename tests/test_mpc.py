@@ -7,8 +7,6 @@ import semnav.mpc as mpc_mod
 from semnav.barrier import CbfField, CbfParams, build_cbf_field
 from semnav.grids import Grid2D
 from semnav.mpc import (
-    MODE_CBF,
-    MODE_CLASSIC,
     ControllerParams,
     build_qp,
     hold_trajectory,
@@ -152,10 +150,10 @@ class TestBuildQp:
         x0 = np.zeros(3)
         goal = np.array([0.3, 0.1, 0.0])
         field = uniform_field()
-        with_rows = solve_qp(build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CBF,
+        with_rows = solve_qp(build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal,
                                       workspace=WORKSPACE))
         n_u = 3 * params.horizon
-        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, MODE_CLASSIC, workspace=WORKSPACE)
+        qp = build_qp(params, x0, hold_trajectory(x0, params.horizon), field, goal, classic=True, workspace=WORKSPACE)
         assert qp.g.shape[0] == n_u
         without = solve_qp(qp)
         np.testing.assert_allclose(with_rows.x[:n_u], without.x, atol=1e-6)
@@ -177,10 +175,10 @@ class TestBuildQp:
         x_t = np.array([1.25, 1.02, 0.1])
         b, A = linearize_barrier(field, prev.states, x_t, prediction_matrix(T, params.dt))
         assert np.abs(A[1:]).max() > 0.01  # the wall is within reach
-        classic = build_qp(params, x_t, prev, field, goal, MODE_CLASSIC, workspace=WORKSPACE)
+        classic = build_qp(params, x_t, prev, field, goal, classic=True, workspace=WORKSPACE)
         assert np.array_equal(classic.G_in[-T:], -A[:T])
         assert np.array_equal(classic.h_in[-T:], b[:T] - params.classic_epsilon)
-        cbf = build_qp(params, x_t, prev, field, goal, MODE_CBF, workspace=WORKSPACE)
+        cbf = build_qp(params, x_t, prev, field, goal, workspace=WORKSPACE)
         rows = cbf.G_in[-2 * T : -T]
         assert np.array_equal(rows[:, :n_u], 0.8 * A[:T] - A[1:]) and np.array_equal(rows[:, n_u:], -np.eye(T))
         assert np.array_equal(cbf.h_in[-2 * T : -T], b[1:] - 0.8 * b[:T])
@@ -264,13 +262,13 @@ class TestMpcStep:
             assert h1 - h0 >= -gamma * h0 - 1e-6
         assert speeds[0.01] < speeds[1.0]
 
-    @pytest.mark.parametrize("mode", [MODE_CBF, MODE_CLASSIC])
-    def test_workspace_rows_bound_prediction(self, mode):
+    @pytest.mark.parametrize("classic", [False, True], ids=["cbf", "classic"])
+    def test_workspace_rows_bound_prediction(self, classic):
         # the goal lies beyond the workspace edge at x = 2: every predicted state stops at the edge
         params = ControllerParams()
         x0 = np.array([1.5, 0.0, 0.0])
         u, traj = mpc_step(params, x0, hold_trajectory(x0, params.horizon), uniform_field(), np.array([5.0, 0.0, 0.0]),
-                           mode, workspace=(-2.0, -2.0, 2.0, 2.0))
+                           classic=classic, workspace=(-2.0, -2.0, 2.0, 2.0))
         assert traj.status == "ok"
         assert traj.states[:, 0].max() <= 2.0 + 1e-6
 
@@ -303,7 +301,7 @@ class TestMpcStep:
         x0 = np.array([3.0, 5.0, 0.0])  # h = -2 at the current state
         prev = hold_trajectory(x0, params.horizon)
         prev.inputs[0] = np.array([0.4, 0.0, 0.0])
-        u_brake, traj = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), MODE_CLASSIC,
+        u_brake, traj = mpc_step(params, x0, prev, field, np.array([10.0, 5.0, 0.0]), classic=True,
                                  workspace=(-20, -20, 20, 20))
         assert (u_brake.vx, u_brake.vy, u_brake.omega) == (0.0, 0.0, 0.0)
         self.assert_degraded_prediction(traj, params, x0, field, solves[-1])
@@ -315,7 +313,7 @@ class TestMpcStep:
         prev = hold_trajectory(x0, params.horizon)
         prev.inputs[0] = np.array([0.8, 0.0, 0.0])
         field = uniform_field()
-        u_hold, traj = mpc_step(params, x0, prev, field, np.array([1.0, 0.0, 0.0]), MODE_CBF,
+        u_hold, traj = mpc_step(params, x0, prev, field, np.array([1.0, 0.0, 0.0]),
                                 workspace=(-2.0, -2.0, 2.0, 2.0))
         assert (u_hold.vx, u_hold.vy, u_hold.omega) == (params.v_max, 0.0, 0.0)
         self.assert_degraded_prediction(traj, params, x0, field, solves[-1])

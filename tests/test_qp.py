@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import semnav.mpc as mpc_mod
 import semnav.qp as qp_mod
-from semnav.mpc import MODE_CBF, MODE_CLASSIC, ControllerParams, build_qp, hold_trajectory
+from semnav.mpc import ControllerParams, build_qp, hold_trajectory
 from semnav.qp import ACCEPT_TOL, MAX_ITER, TOL, QpProblem, QpSolution, kkt_residuals, solve_qp
 from semnav.runner import run_closed_loop
 from semnav.scenario import MODE_NONSEMANTIC, load_scenario
@@ -330,11 +330,11 @@ class GivenField:
 WORKSPACE = (-1.0, -2.5, 5.0, 3.5)
 
 
-def controller_qp(seed: int, T: int, mode: str, gamma_bar: float, h_low: float, outside: bool) -> QpProblem:
+def controller_qp(seed: int, T: int, classic: bool, gamma_bar: float, h_low: float, outside: bool) -> QpProblem:
     """The controller's QP with random linearization data.
 
     Input box rows, workspace rows (violated at k = 0 when ``outside``),
-    slacked decay rows in CBF mode and hard barrier rows in classic mode,
+    slacked decay rows in CBF mode and hard barrier rows when ``classic``,
     infeasible when the barrier values reach down to ``h_low`` < 0.
     """
     rng = np.random.default_rng(seed)
@@ -346,15 +346,15 @@ def controller_qp(seed: int, T: int, mode: str, gamma_bar: float, h_low: float, 
     prev.states = prev.states + np.cumsum(rng.uniform(-0.1, 0.1, (T + 1, 3)), axis=0)
     field = GivenField(rng.uniform(h_low, 1.8, T + 1), rng.normal(size=(T + 1, 2)))
     goal = np.array([rng.uniform(-0.5, 4.5), rng.uniform(-2.0, 3.0), 0.0])
-    return build_qp(params, x_t, prev, field, goal, mode, workspace=WORKSPACE)
+    return build_qp(params, x_t, prev, field, goal, classic=classic, workspace=WORKSPACE)
 
 
 class TestBitIdentityWithOracle:
     @settings(max_examples=150)
-    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 10), mode=st.sampled_from([MODE_CBF, MODE_CLASSIC]),
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 10), classic=st.booleans(),
            gamma_bar=st.floats(0.01, 1.0), h_low=st.sampled_from([0.05, -0.3, -2.0]), outside=st.booleans())
-    def test_controller_shaped_qps(self, seed, T, mode, gamma_bar, h_low, outside):
-        qp = controller_qp(seed, T, mode, gamma_bar, h_low, outside)
+    def test_controller_shaped_qps(self, seed, T, classic, gamma_bar, h_low, outside):
+        qp = controller_qp(seed, T, classic, gamma_bar, h_low, outside)
         assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -362,8 +362,8 @@ class TestBitIdentityWithOracle:
     @pytest.mark.parametrize("name", ["g", "h_in", "G_in", "H"])
     def test_nonfinite_and_huge_entries(self, name, value):
         # H.flat[5] = +-1e300 keeps the start's M finite but not positive definite: the factor fails
-        for mode in (MODE_CBF, MODE_CLASSIC):
-            qp = controller_qp(3, 4, mode, 0.1, -0.3, False)
+        for classic in (False, True):
+            qp = controller_qp(3, 4, classic, 0.1, -0.3, False)
             getattr(qp, name).flat[5] = value
             assert_same_solve(solve_qp(qp), solve_qp_oracle(qp))
 

@@ -356,3 +356,22 @@ def test_cloud_is_remapped_exactly_when_the_pose_is_noisy(monkeypatch, noise):
     assert len(rec.rows) == 10
     assert calls == ([True] * len(rec.rows) if any(noise) else [])
     assert all((r.est_pose == r.true_pose) != any(noise) for r in rec.rows)
+
+
+@pytest.mark.parametrize("mode", [MODE_SEMANTIC, MODE_NONSEMANTIC, MODE_CLASSIC])
+def test_mode_picks_the_builder_and_the_controller(scenario_dir, monkeypatch, mode):
+    # only classic_mpc hands mpc_step classic=True, only semantic_mpc_cbf builds the semantic field
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kw):
+            calls.append((name, kw.get("classic", False)))
+            return real(*args, **kw)
+        return wrapper
+
+    for name in ("mpc_step", "build_semantic_edf", "build_plain_edf"):
+        monkeypatch.setattr(runner_mod, name, spy(name, getattr(runner_mod, name)))
+    rec = run_closed_loop(replace(load_scenario(scenario_dir / "drawer_gap.json"), mode=mode, duration=0.4))
+    builder = "build_semantic_edf" if mode == MODE_SEMANTIC else "build_plain_edf"
+    assert len(rec.rows) == 2
+    assert calls == [(builder, False), ("mpc_step", mode == MODE_CLASSIC)] * 2
