@@ -17,26 +17,7 @@ from scipy import ndimage
 
 from .grids import Grid2D
 from .mapping import GlobalTsdf, ObjectLibrary
-
-
-@dataclass(frozen=True)
-class CbfParams:
-    theta_z: float = 1.0  # height window for the 2.5D projection (m)
-    theta_zero: float = 0.15  # zero-level threshold (m)
-    theta_cutoff: float = 1.8  # barrier cutoff (m)
-    bias: float = 0.75  # robot-size buffer subtracted from distances (m)
-    lambda_c: float = 3.0  # consistency slope factor
-    lambda_s: float = 2.0  # stationarity bias factor, > 1
-
-    def __post_init__(self):
-        vals = (self.theta_z, self.theta_zero, self.theta_cutoff, self.bias, self.lambda_c, self.lambda_s)
-        if min(vals) <= 0.0:
-            raise ValueError("all barrier parameters must be positive")
-        if self.lambda_s <= 1.0:
-            raise ValueError("lambda_s must exceed 1")
-
-    def bias_for(self, stationarity: int) -> float:
-        return (self.lambda_s * (1 - stationarity) + stationarity) * self.bias
+from .scenario import CbfParams
 
 
 @dataclass

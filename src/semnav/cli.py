@@ -7,8 +7,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .report import emit_outputs
-from .runner import run_closed_loop
 from .scenario import MODES, ScenarioError, load_scenario, scenario_from_dict, scenario_to_dict
 
 
@@ -29,6 +27,9 @@ def _load(args, gamma_bar: float | None = None):
 
 
 def cmd_run(args) -> int:
+    from .report import emit_outputs
+    from .runner import run_closed_loop
+
     scenario = _load(args, args.gamma_bar)
     record = run_closed_loop(scenario)
     metrics = emit_outputs(record, args.out)
@@ -41,6 +42,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .report import emit_outputs
+    from .runner import run_closed_loop
+
     try:
         gammas = [float(tok) for tok in args.gamma_bar.split(",") if tok]
     except ValueError:
@@ -96,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no read permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

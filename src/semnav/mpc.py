@@ -18,38 +18,8 @@ import numpy as np
 from .barrier import CbfField
 from .geometry import wrap_angle
 from .qp import QpProblem, QpSolution, solve_qp
+from .scenario import ControllerParams
 from .world import ControlInput
-
-
-@dataclass(frozen=True)
-class ControllerParams:
-    horizon: int = 10
-    dt: float = 0.2
-    gamma_bar: float = 0.03  # barrier decay rate, in (0, 1]
-    q_diag: tuple[float, float, float] = (1.0, 1.0, 0.1)
-    r_diag: tuple[float, float, float] = (0.1, 0.1, 0.1)
-    p_diag: tuple[float, float, float] = (10.0, 10.0, 1.0)
-    v_max: float = 0.5
-    omega_max: float = 1.0
-    rho_slack: float = 1.0e4
-    classic_epsilon: float = 1.0e-3
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        for name in ("dt", "v_max", "omega_max", "rho_slack"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.gamma_bar <= 1.0:
-            raise ValueError("gamma_bar must lie in (0, 1]")
-        if min(self.r_diag) <= 0.0 or min(self.q_diag) < 0.0 or min(self.p_diag) < 0.0:
-            raise ValueError("R must be positive definite, Q and P positive semidefinite")
-        if self.classic_epsilon < 0.0:  # a negative margin lets classic mode's hard rows admit h < 0
-            raise ValueError("classic_epsilon must be >= 0")
-
-    @property
-    def input_bounds(self) -> np.ndarray:
-        return np.array([self.v_max, self.v_max, self.omega_max])
 
 
 @dataclass

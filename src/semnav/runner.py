@@ -16,7 +16,6 @@ import numpy as np
 from . import scenario as sc
 from .barrier import (
     CbfField,
-    CbfParams,
     build_cbf_field,
     build_plain_edf,
     build_semantic_edf,
@@ -106,7 +105,7 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     return replace(cloud, points=pts)
 
 
-def _block_boundary(library: ObjectLibrary, cbf: CbfParams, consistency_override: float | None):
+def _block_boundary(library: ObjectLibrary, cbf: sc.CbfParams, consistency_override: float | None):
     """Fused block, and its projection's labelled boundary with cells on the workspace lattice."""
     global_map = fuse_global_tsdf(library)
     block, owner = project_2p5d(global_map, cbf.theta_z)

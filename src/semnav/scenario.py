@@ -3,7 +3,9 @@
 Scenarios are plain JSON with full defaulting; unknown keys are rejected with
 the offending field path so typos fail loudly rather than silently running
 with defaults. The tables below write each key once for reading and writing;
-range rules live in the dataclass that owns the value.
+range rules live in the dataclass that owns the value. The barrier and
+controller sections live here, so this loader and its imports never load
+SciPy: `semnav validate` and `import semnav` pay only for NumPy.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import sys
 from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
-from .barrier import CbfParams
+import numpy as np
+
 from .consistency import ConsistencyParams
 from .mapping import MapParams
-from .mpc import ControllerParams
 from .world import DepthCamera, SceneEvent, WorldObject, apply_scene_events
 
 MODE_SEMANTIC = "semantic_mpc_cbf"
@@ -28,6 +30,57 @@ MODES = (MODE_SEMANTIC, MODE_NONSEMANTIC, MODE_CLASSIC)
 
 class ScenarioError(ValueError):
     """Scenario file violates the schema; message carries the field path."""
+
+
+@dataclass(frozen=True)
+class CbfParams:
+    theta_z: float = 1.0  # height window for the 2.5D projection (m)
+    theta_zero: float = 0.15  # zero-level threshold (m)
+    theta_cutoff: float = 1.8  # barrier cutoff (m)
+    bias: float = 0.75  # robot-size buffer subtracted from distances (m)
+    lambda_c: float = 3.0  # consistency slope factor
+    lambda_s: float = 2.0  # stationarity bias factor, > 1
+
+    def __post_init__(self):
+        vals = (self.theta_z, self.theta_zero, self.theta_cutoff, self.bias, self.lambda_c, self.lambda_s)
+        if min(vals) <= 0.0:
+            raise ValueError("all barrier parameters must be positive")
+        if self.lambda_s <= 1.0:
+            raise ValueError("lambda_s must exceed 1")
+
+    def bias_for(self, stationarity: int) -> float:
+        return (self.lambda_s * (1 - stationarity) + stationarity) * self.bias
+
+
+@dataclass(frozen=True)
+class ControllerParams:
+    horizon: int = 10
+    dt: float = 0.2
+    gamma_bar: float = 0.03  # barrier decay rate, in (0, 1]
+    q_diag: tuple[float, float, float] = (1.0, 1.0, 0.1)
+    r_diag: tuple[float, float, float] = (0.1, 0.1, 0.1)
+    p_diag: tuple[float, float, float] = (10.0, 10.0, 1.0)
+    v_max: float = 0.5
+    omega_max: float = 1.0
+    rho_slack: float = 1.0e4
+    classic_epsilon: float = 1.0e-3
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        for name in ("dt", "v_max", "omega_max", "rho_slack"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.gamma_bar <= 1.0:
+            raise ValueError("gamma_bar must lie in (0, 1]")
+        if min(self.r_diag) <= 0.0 or min(self.q_diag) < 0.0 or min(self.p_diag) < 0.0:
+            raise ValueError("R must be positive definite, Q and P positive semidefinite")
+        if self.classic_epsilon < 0.0:  # a negative margin lets classic mode's hard rows admit h < 0
+            raise ValueError("classic_epsilon must be >= 0")
+
+    @property
+    def input_bounds(self) -> np.ndarray:
+        return np.array([self.v_max, self.v_max, self.omega_max])
 
 
 @dataclass
@@ -259,6 +312,8 @@ def load_scenario(path: str | Path) -> Scenario:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
     return scenario_from_dict(data)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from semnav.cli import main
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 
 def test_validate_ok(scenario_dir, capsys):
@@ -26,6 +26,18 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+
+def test_directory_path_exit_code(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_exit_code(scenario_dir, tmp_path, capsys):
+    blocker = tmp_path / "out"
+    blocker.write_text("")  # a file where the output directory should go
+    assert main(["run", str(scenario_dir / "open_goal.json"), "--out", str(blocker)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_writes_outputs(scenario_dir, tmp_path, capsys):
@@ -84,12 +96,25 @@ def test_sweep_rejects_rates_that_share_an_output_directory(scenario_dir, tmp_pa
     assert not (tmp_path / "sw").exists()
 
 
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules in sys.modules after a fresh interpreter runs code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    report = "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", f"import json, sys; {code}; {report}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # assignment lives in semnav.mapping; scipy.optimize would add its whole solver stack to every start-up
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, semnav, semnav.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    loaded = _scipy_modules_after("import semnav, semnav.runner, semnav.report, semnav.cli")
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+
+
+def test_import_load_and_validate_leave_scipy_unloaded():
+    # only the run path (runner, barrier, mpc, qp, report) needs SciPy; start-up and validate do not
+    path = str(SCENARIO_DIR / "drawer_gap.json")
+    assert _scipy_modules_after(
+        f"import semnav, semnav.cli; semnav.load_scenario({path!r}); semnav.cli.main(['validate', {path!r}])"
+    ) == []

@@ -43,6 +43,13 @@ def test_minimal_file_fills_defaults(tmp_path):
     assert sc.consistency.removal_threshold == 0.4
 
 
+def test_non_utf8_file_raises_scenario_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    with pytest.raises(ScenarioError, match=r"utf16\.json: not UTF-8"):
+        load_scenario(path)
+
+
 def test_negative_event_time_rejected():
     bad = dict(MINIMAL, events=[{"time": -1.0, "object_id": 0, "action": "remove"}])
     with pytest.raises(ScenarioError, match=r"events\[0\].time"):
