@@ -2,8 +2,9 @@
 
 The robot is a single integrator, so every predicted state is an exact affine
 function of the inputs and the condensed quadratic program is written in the
-inputs alone. Only the barrier is linearized, once per tick, about the
-previous predicted trajectory. In CBF mode its per-step decay condition is
+inputs alone. Only the barrier is linearized, once per tick, about a guess of
+this tick's plan: the last plan shifted one step (the classic baseline keeps
+it unshifted; see ``mpc_step``). In CBF mode its per-step decay condition is
 softened by heavily penalized slack so the program stays solvable under noise
 while violations remain observable; the classic baseline instead imposes hard
 barrier positivity at the predicted states, from the same linearization.
@@ -91,9 +92,9 @@ def build_qp(
     Single-integrator dynamics make every predicted state exact and affine in
     the inputs, x_k = x_t + S_k u with S dt times a block prefix sum, so the
     program has no state variables and no equality rows. ``prev_traj`` only
-    supplies the states the barrier is linearized about. Rows that do not
-    depend on u (the k = 0 workspace and classic rows) stay: they carry the
-    feasibility of the current state.
+    supplies the states the barrier is linearized about, as given (``mpc_step``
+    shifts them). Rows that do not depend on u (the k = 0 workspace and classic
+    rows) stay: they carry the feasibility of the current state.
     """
     T = params.horizon
     x_t = np.asarray(x_t, dtype=float)
@@ -183,14 +184,22 @@ def mpc_step(
 ) -> tuple[ControlInput, PredictedTrajectory]:
     """Solve one receding-horizon step about the last plan; return the first input and the new plan.
 
-    ``prev_traj`` is the last tick's plan, or ``hold_trajectory`` at the first. A
+    ``prev_traj`` is the last tick's plan, or ``hold_trajectory`` at the first.
+    After an ``ok`` plan the barrier is linearized about it shifted one step
+    (``states[1:]``, then ``states[-1] + dt * inputs[-1]``); unshifted, each
+    operating state is a step stale and the inputs flip between their bounds
+    across a ridge of h. ``classic`` keeps the unshifted plan, whose shift would
+    surface its hard rows' infeasibility as degraded ticks. A
     degraded solve (iteration cap, typically an infeasible hard-constrained
     program) brakes when ``classic`` and otherwise repeats the previous
     applied input clipped to the input box. Either way the plan becomes a hold
     with zero inputs, so a second degraded tick in a row brakes.
     """
     x_t = np.asarray(x_t, dtype=float)
-    sol = solve_qp(build_qp(params, x_t, prev_traj, field_, goal, classic=classic, workspace=workspace))
+    op = prev_traj
+    if prev_traj.status == "ok" and not classic:
+        op = replace(op, states=np.vstack([op.states[1:], op.states[-1] + params.dt * op.inputs[-1]]))
+    sol = solve_qp(build_qp(params, x_t, op, field_, goal, classic=classic, workspace=workspace))
 
     if sol.degraded:
         if classic:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from semnav.mpc import (
     linearize_barrier,
     mpc_step,
 )
-from semnav.qp import solve_qp
+from semnav.qp import QpSolution, solve_qp
 
 from conftest import plain_edf
 
@@ -317,3 +319,76 @@ class TestMpcStep:
                                 workspace=(-2.0, -2.0, 2.0, 2.0))
         assert (u_hold.vx, u_hold.vy, u_hold.omega) == (params.v_max, 0.0, 0.0)
         self.assert_degraded_prediction(traj, params, x0, field, solves[-1])
+
+
+class TestOperatingPlan:
+    """The states ``mpc_step`` linearizes the barrier about, read from the program it hands the solver."""
+
+    X_T = np.array([1.25, 1.02, 0.1])  # this tick's state, a step on from the plan's start
+
+    @pytest.fixture
+    def setup(self, monkeypatch):
+        # an ok plan near the wall band, then a recorder of every program solved after it
+        params = ControllerParams(gamma_bar=0.2)
+        field = built_field()
+        x0, goal = np.array([1.2, 1.0, 0.0]), np.array([2.8, 1.6, 0.0])
+        _, plan = mpc_step(params, x0, hold_trajectory(x0, params.horizon), field, goal, workspace=WORKSPACE)
+        assert plan.status == "ok"
+        built = []
+
+        def recording(qp):
+            built.append(qp)
+            return solve_qp(qp)
+
+        monkeypatch.setattr(mpc_mod, "solve_qp", recording)
+        return params, field, goal, plan, built
+
+    @staticmethod
+    def shifted(plan, dt):
+        """The plan one step on: its states from k = 1, then the last state moved by the last input."""
+        return np.vstack([plan.states[1:], plan.states[-1] + dt * plan.inputs[-1]])
+
+    @staticmethod
+    def assert_decay_rows_about(qp, params, field, x_t, op_states):
+        T = params.horizon
+        keep = 1.0 - params.gamma_bar
+        b, A = linearize_barrier(field, op_states, x_t, prediction_matrix(T, params.dt))
+        assert np.array_equal(qp.G_in[-2 * T : -T, : 3 * T], keep * A[:T] - A[1:])
+        assert np.array_equal(qp.h_in[-2 * T : -T], b[1:] - keep * b[:T])
+
+    def test_cbf_linearizes_about_the_shifted_ok_plan(self, setup):
+        params, field, goal, plan, built = setup
+        T = params.horizon
+        shifted = self.shifted(plan, params.dt)
+        _, A_shifted = linearize_barrier(field, shifted, self.X_T, prediction_matrix(T, params.dt))
+        _, A_given = linearize_barrier(field, plan.states, self.X_T, prediction_matrix(T, params.dt))
+        assert np.abs(A_shifted - A_given).max() > 1e-3  # the shift moves the rows
+        mpc_step(params, self.X_T, plan, field, goal, workspace=WORKSPACE)
+        self.assert_decay_rows_about(built[-1], params, field, self.X_T, shifted)
+
+    def test_classic_linearizes_about_the_unshifted_plan(self, setup):
+        params, field, goal, plan, built = setup
+        T = params.horizon
+        mpc_step(params, self.X_T, plan, field, goal, classic=True, workspace=WORKSPACE)
+        b, A = linearize_barrier(field, plan.states, self.X_T, prediction_matrix(T, params.dt))
+        assert np.array_equal(built[-1].G_in[-T:], -A[:T])
+        assert np.array_equal(built[-1].h_in[-T:], b[:T] - params.classic_epsilon)
+
+    @pytest.mark.parametrize("status", ["hold", "degraded"])
+    def test_hold_and_degraded_plans_used_as_given(self, setup, status):
+        params, field, goal, plan, built = setup
+        mpc_step(params, self.X_T, replace(plan, status=status), field, goal, workspace=WORKSPACE)
+        self.assert_decay_rows_about(built[-1], params, field, self.X_T, plan.states)
+
+    def test_degraded_tick_repeats_the_applied_input(self, setup, monkeypatch):
+        # after an ok plan, a failed CBF solve repeats the plan's first input (the one applied last
+        # tick), clipped to the input box, not the first input of the shifted plan
+        params, field, goal, plan, _ = setup
+        inputs = plan.inputs.copy()
+        inputs[0], inputs[1] = [0.8, -0.7, 0.3], [0.1, 0.2, -0.4]
+        n = 4 * params.horizon
+        failed = QpSolution(x=np.zeros(n), z=np.zeros(n), status="max_iter", objective=float("nan"), iterations=7)
+        monkeypatch.setattr(mpc_mod, "solve_qp", lambda qp: failed)
+        u, traj = mpc_step(params, self.X_T, replace(plan, inputs=inputs), field, goal, workspace=WORKSPACE)
+        assert (u.vx, u.vy, u.omega) == (params.v_max, -params.v_max, 0.3)
+        assert traj.status == "degraded" and traj.iterations == 7
