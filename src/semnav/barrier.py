@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grids import Grid2D
+from .grids import Grid2D, sample_multilinear
 from .mapping import GlobalTsdf, ObjectLibrary
 from .scenario import CbfParams
 
@@ -53,11 +53,9 @@ class CbfField:
         lo = self.grid.origin + 0.5 * res
         hi = lo + (np.array([nx, ny]) - 1) * res
         c = np.minimum(np.maximum(xy, lo + d), hi - d)
-        cx, cy = c[:, 0], c[:, 1]
         # one sampler call: the points themselves, then the four stencil probes
-        px = np.concatenate([xy[:, 0], cx + d, cx - d, cx, cx])
-        py = np.concatenate([xy[:, 1], cy, cy, cy + d, cy - d])
-        v = self.grid.sample_bilinear(px, py)[0].reshape(5, -1)
+        probes = np.concatenate([xy, c + [d, 0.0], c - [d, 0.0], c + [0.0, d], c - [0.0, d]])
+        v = sample_multilinear(self.grid, probes)[0].reshape(5, -1)
         grad = np.stack([(v[1] - v[2]) / (2.0 * d), (v[3] - v[4]) / (2.0 * d)], axis=1)
         return v[0], grad
 
@@ -67,8 +65,7 @@ class CbfField:
 
     def query_h_checked(self, x: float, y: float) -> tuple[float, bool]:
         """Interpolated barrier value and whether the query clamped to the edge."""
-        xy = self._checked([[x, y]])
-        v, clamped = self.grid.sample_bilinear(xy[:, 0], xy[:, 1])
+        v, clamped = sample_multilinear(self.grid, self._checked([[x, y]]))
         return float(v[0]), bool(clamped[0])
 
     def query_grad(self, x: float, y: float) -> tuple[float, float]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grids import sample_multilinear
+
 
 @dataclass(frozen=True)
 class GaussianBetaState:
@@ -83,7 +85,7 @@ def compute_delta(record, obs) -> float | None:
     inside = grid.contains(obs.points)
     if not inside.any():
         return None
-    return float(grid.sample_trilinear(obs.points[inside]).mean())
+    return float(sample_multilinear(grid, obs.points[inside])[0].mean())
 
 
 def _log_normpdf(x: float, mean: float, var: float) -> float:

@@ -1,4 +1,4 @@
-"""Axis-aligned scalar voxel grids with interpolated sampling.
+"""Axis-aligned scalar lattice grids and one multilinear sampler for them.
 
 All grids snap their origin onto a common world lattice (integer multiples of
 the resolution) so that voxel centers of different grids coincide and fusion
@@ -16,6 +16,30 @@ import numpy as np
 def snap_to_lattice(value: float, resolution: float) -> float:
     """Largest lattice coordinate (multiple of resolution) not above value."""
     return math.floor(round(value / resolution, 9)) * resolution
+
+
+def sample_multilinear(grid, points) -> tuple[np.ndarray, np.ndarray]:
+    """Multilinear interpolation of a 2D or 3D grid's cell-centre values at (N, D) world points.
+
+    ``grid`` has ``values``, ``origin`` and ``resolution``; the centre of cell i maps to index i.
+    Returns (values, clamped): ``clamped`` marks points outside [0, n - 1] on any axis, which are
+    evaluated at the nearest edge. Each corner's term is its value times its weight one axis at a
+    time, corners in order with the first axis fastest, summed from the first term.
+    """
+    idx = (np.atleast_2d(points) - grid.origin) / grid.resolution - 0.5
+    top = np.array(grid.values.shape) - 1
+    clamped = np.any((idx < 0.0) | (idx > top), axis=1)
+    base = np.clip(np.floor(idx).astype(int), 0, top - 1)
+    frac = np.clip(idx - base, 0.0, 1.0)
+    weights = (1.0 - frac, frac)
+    out = None
+    for corner in range(1 << idx.shape[1]):
+        bits = [(corner >> a) & 1 for a in range(idx.shape[1])]
+        term = grid.values[tuple(base[:, a] + bit for a, bit in enumerate(bits))]
+        for a, bit in enumerate(bits):
+            term = term * weights[bit][:, a]
+        out = term if out is None else out + term
+    return out, clamped
 
 
 @dataclass
@@ -48,10 +72,6 @@ class VoxelGrid3D:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def world_to_index(self, points: np.ndarray) -> np.ndarray:
-        """Float voxel indices (center of voxel i maps to index i)."""
-        return (np.atleast_2d(points) - self.origin[None, :]) / self.resolution - 0.5
-
     def index_origin(self) -> np.ndarray:
         """Integer lattice coordinates of the grid origin."""
         return np.round(self.origin / self.resolution).astype(int)
@@ -61,23 +81,6 @@ class VoxelGrid3D:
         lo = self.origin[None, :]
         hi = lo + np.array(self.dims)[None, :] * self.resolution
         return np.all((p >= lo) & (p <= hi), axis=1)
-
-    def sample_trilinear(self, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of values at world points (edge-clamped)."""
-        idx = self.world_to_index(points)
-        nx, ny, nz = self.dims
-        out = np.zeros(idx.shape[0])
-        base = np.clip(np.floor(idx).astype(int), 0, np.array([nx - 2, ny - 2, nz - 2]))
-        frac = np.clip(idx - base, 0.0, 1.0)
-        for corner in range(8):
-            ox, oy, oz = corner & 1, (corner >> 1) & 1, (corner >> 2) & 1
-            w = (
-                (frac[:, 0] if ox else 1.0 - frac[:, 0])
-                * (frac[:, 1] if oy else 1.0 - frac[:, 1])
-                * (frac[:, 2] if oz else 1.0 - frac[:, 2])
-            )
-            out += w * self.values[base[:, 0] + ox, base[:, 1] + oy, base[:, 2] + oz]
-        return out
 
     def grown_to_include(self, lo: np.ndarray, hi: np.ndarray) -> "VoxelGrid3D":
         """Return a grid whose extent also covers the box [lo, hi], content preserved."""
@@ -97,7 +100,7 @@ class VoxelGrid3D:
 
 @dataclass
 class Grid2D:
-    """Dense 2D scalar grid over the workspace with bilinear queries."""
+    """Dense 2D scalar grid over the workspace."""
 
     origin: np.ndarray  # (2,)
     resolution: float
@@ -117,31 +120,3 @@ class Grid2D:
         xs = self.origin[0] + (np.arange(nx) + 0.5) * self.resolution
         ys = self.origin[1] + (np.arange(ny) + 0.5) * self.resolution
         return xs, ys
-
-    def world_to_index(self, x, y):
-        ix = (np.asarray(x) - self.origin[0]) / self.resolution - 0.5
-        iy = (np.asarray(y) - self.origin[1]) / self.resolution - 0.5
-        return ix, iy
-
-    def sample_bilinear(self, x, y):
-        """Bilinear interpolation of cell-center values; clamps outside the extent.
-
-        Returns (values, clamped) where ``clamped`` marks queries that fell
-        outside the interpolation domain and were evaluated at its edge.
-        """
-        ix, iy = self.world_to_index(x, y)
-        nx, ny = self.dims
-        clamped = (ix < 0.0) | (ix > nx - 1) | (iy < 0.0) | (iy > ny - 1)
-        ix = np.clip(ix, 0.0, nx - 1)
-        iy = np.clip(iy, 0.0, ny - 1)
-        x0 = np.clip(np.floor(ix).astype(int), 0, nx - 2)
-        y0 = np.clip(np.floor(iy).astype(int), 0, ny - 2)
-        fx = ix - x0
-        fy = iy - y0
-        v = (
-            self.values[x0, y0] * (1 - fx) * (1 - fy)
-            + self.values[x0 + 1, y0] * fx * (1 - fy)
-            + self.values[x0, y0 + 1] * (1 - fx) * fy
-            + self.values[x0 + 1, y0 + 1] * fx * fy
-        )
-        return v, clamped

@@ -18,7 +18,7 @@ from semnav.barrier import (
     project_2p5d,
 )
 from semnav.consistency import ConsistencyParams, GaussianBetaState
-from semnav.grids import Grid2D, VoxelGrid3D
+from semnav.grids import Grid2D, VoxelGrid3D, sample_multilinear
 from semnav.mapping import GlobalTsdf, MapParams, ObjectLibrary, ObjectRecord, remove_object, spawn_object
 
 from conftest import make_observation, plain_edf
@@ -460,7 +460,7 @@ class TestCbfField:
         y1 = y0 + (grid.dims[1] - 1) * grid.resolution
 
         def sample(x, y):
-            return float(grid.sample_bilinear(x, y)[0])
+            return float(sample_multilinear(grid, [[x, y]])[0][0])
 
         for (x, y), hv, (gx, gy) in zip(pts.tolist(), h, grad):
             assert hv == field.query_h(x, y)

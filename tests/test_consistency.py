@@ -11,6 +11,7 @@ from semnav.consistency import (
     initial_state,
     update_consistency,
 )
+from semnav.grids import sample_multilinear
 from semnav.mapping import spawn_object
 
 from conftest import make_observation
@@ -190,7 +191,7 @@ class TestComputeDelta:
         shifted = make_observation(pts + np.array([0.2, 0.0, 0.0]))
         delta = compute_delta(rec, shifted)
         inside = rec.tsdf.contains(shifted.points)
-        oracle = rec.tsdf.sample_trilinear(shifted.points[inside]).mean()
+        oracle = sample_multilinear(rec.tsdf, shifted.points[inside])[0].mean()
         assert delta == pytest.approx(oracle, abs=1e-12)
         assert delta < 0  # the shifted surface sits behind the reconstructed one
 

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 import semnav.runner as runner_mod
 from semnav.barrier import CbfParams, extract_labeled_boundary, project_2p5d
 from semnav.consistency import ConsistencyParams, initial_state
-from semnav.grids import VoxelGrid3D
+from semnav.grids import VoxelGrid3D, sample_multilinear
 from semnav.mapping import (
     FORBIDDEN_COST,
     GlobalTsdf,
@@ -340,7 +340,7 @@ class TestIntegration:
     def test_surface_voxels_near_zero(self, small_library):
         obs = self._perpendicular_wall_obs()
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.5))
-        vals = rec.tsdf.sample_trilinear(obs.points)
+        vals = sample_multilinear(rec.tsdf, obs.points)[0]
         assert np.abs(vals).max() <= small_library.params.resolution
 
     def test_double_integration_identical(self, small_library):
