@@ -49,9 +49,8 @@ class CbfField:
         xy = self._checked(xy)
         res = self.grid.resolution
         d = res / 4.0
-        nx, ny = self.grid.dims
         lo = self.grid.origin + 0.5 * res
-        hi = lo + (np.array([nx, ny]) - 1) * res
+        hi = lo + (np.array(self.grid.dims) - 1) * res
         c = np.minimum(np.maximum(xy, lo + d), hi - d)
         # one sampler call: the points themselves, then the four stencil probes
         probes = np.concatenate([xy, c + [d, 0.0], c - [d, 0.0], c + [0.0, d], c - [0.0, d]])
@@ -60,8 +59,7 @@ class CbfField:
         return v[0], grad
 
     def query_h(self, x: float, y: float) -> float:
-        v, _ = self.query_h_checked(x, y)
-        return v
+        return self.query_h_checked(x, y)[0]
 
     def query_h_checked(self, x: float, y: float) -> tuple[float, bool]:
         """Interpolated barrier value and whether the query clamped to the edge."""

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 from .grids import sample_multilinear
 
+# E[v] is held this far inside (0, 1). With no margin, some 12,900 agreeing updates bring E[v] * (1 - E[v])
+# below the 1e-12 variance floor and the Beta has no valid moments. At 1e-9 that limit stays 1000 times
+# above the floor, a / (a + b) stays inside (0, 1), and no decision reads the difference.
+EV_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class GaussianBetaState:
@@ -47,6 +52,9 @@ class ConsistencyParams:
                         ("prior_static", min(self.prior_static)), ("prior_dynamic", min(self.prior_dynamic))):
             if v <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("sigma_m", "prior_sigma"):  # the filter squares both and takes logs of the squares
+            if not 0.0 < getattr(self, name) * getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must have a square that is positive and finite")
         if not 0.0 < self.removal_threshold < 1.0:
             raise ValueError("removal_threshold must be in (0, 1)")
         if self.rho_s < 0.0:
@@ -132,6 +140,7 @@ def update_consistency(
     e_v = (w1 * (a + 1.0) + w2 * a) / (s + 1.0)
     e_v2 = (w1 * (a + 1.0) * (a + 2.0) + w2 * a * (a + 1.0)) / ((s + 1.0) * (s + 2.0))
     var_v = e_v2 - e_v**2
+    e_v = min(max(e_v, EV_MARGIN), 1.0 - EV_MARGIN)
 
     degenerate = False
     limit = e_v * (1.0 - e_v)

@@ -33,6 +33,11 @@ class MapParams:
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
+    @property
+    def pad(self) -> float:
+        """How far an object grid reaches past its points: so far that a displaced re-observation lands inside."""
+        return 2.0 * self.truncation + 2.0 * self.resolution
+
 
 @dataclass
 class Observation:
@@ -224,10 +229,8 @@ def integrate_observation(
     dirs = rays / t_hit[:, None]
 
     tau, res = params.truncation, params.resolution
-    # pad well beyond the band so a displaced re-observation still lands inside
-    # the grid, where never-observed voxels read as free space (+truncation)
-    pad = 2.0 * tau + 2.0 * res
-    grid = record.tsdf.grown_to_include(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
+    # never-observed voxels of the padded grid read as free space (+truncation)
+    grid = record.tsdf.grown_to_include(pts.min(axis=0) - params.pad, pts.max(axis=0) + params.pad)
 
     # sample the band at voxel pitch, enough because every sample splats onto
     # its full surrounding-center cube: (n_pts, n_samples, 3)

@@ -28,6 +28,12 @@ MODE_CLASSIC = "classic_mpc"
 MODES = (MODE_SEMANTIC, MODE_NONSEMANTIC, MODE_CLASSIC)
 
 
+# A run's grids are dense float64: 2**22 voxels is 32 MiB an array, and a run holds a few such arrays (object
+# values and weights, the fused block and its owners, one distance grid per boundary piece), well under a
+# gigabyte. The largest shipped grid, drawer_gap's 128 x 128 x 20 workspace grid, is nearly 13 times smaller.
+MAX_GRID_VOXELS = 2**22
+
+
 class ScenarioError(ValueError):
     """Scenario file violates the schema; message carries the field path."""
 
@@ -146,6 +152,14 @@ class Scenario:
                 raise ScenarioError(f"{key}: must be >= 0")
         if math.hypot(self.start[0] - self.goal[0], self.start[1] - self.goal[1]) <= self.goal_tolerance:
             raise ScenarioError("robot.goal: lies within goal_tolerance of robot.start, so the run has no tick")
+        res = self.map_params.resolution  # products of floats: a tiny resolution gives inf, where ** would raise
+        workspace_voxels = math.prod(s / res + 1.0 for s in (xmax - xmin, ymax - ymin, self.cbf.theta_z))
+        object_voxels = math.prod([2.0 * self.map_params.pad / res] * 3)
+        for key, what, voxels in (("map.resolution", "the workspace grid up to cbf.theta_z", workspace_voxels),
+                                  ("map.truncation", "an object's first grid", object_voxels)):
+            if voxels > MAX_GRID_VOXELS:
+                raise ScenarioError(f"{key}: {what} would hold {voxels:.3g} voxels, "
+                                    f"above the {MAX_GRID_VOXELS} a run allocates")
         if self.cbf.theta_zero >= self.map_params.truncation:  # never-observed voxels hold the truncation
             raise ScenarioError("cbf.theta_zero: must be below map.truncation")
 

@@ -158,6 +158,19 @@ class TestUpdate:
             assert state.sigma > 0.0
             assert state.alpha + state.beta <= PARAMS.n_max + 1e-9
 
+    @pytest.mark.parametrize("stationarity", [1, 0])
+    @pytest.mark.parametrize("step", [0.0, 0.02])
+    def test_state_stays_valid_over_a_long_run(self, stationarity, step):
+        # 10^5 updates with a random-walk delta; step 0 is an object that always agrees, whose E[v]
+        # once came within 1e-12 of 1 and left the Beta no valid variance after 12,945 updates
+        rng = np.random.default_rng(5)
+        state, delta = initial_state(stationarity, PARAMS), 0.0
+        for _ in range(100_000):
+            delta += step * float(rng.standard_normal())
+            state, _ = update_consistency(state, delta, PARAMS, stationarity)
+            assert 0.0 < state.mean_consistency < 1.0
+            assert 0.0 < state.alpha + state.beta <= PARAMS.n_max + 1e-9
+
     def test_pseudo_count_cap(self):
         params = ConsistencyParams(n_max=12.0)
         state = initial_state(1, params)

@@ -151,8 +151,10 @@ def test_any_section_value_loads_or_raises_scenario_error(target, value):
     try:
         scenario_from_dict(data)
     except ScenarioError as exc:
-        # a coarse map.resolution or a thin map.truncation breaks a rule on cbf, which names the cbf field
-        partner = {("map", "resolution"): ("cbf.theta_z:",), ("map", "truncation"): ("cbf.theta_zero:",)}
+        # a coarse map.resolution or a thin map.truncation breaks a rule on cbf, which names the cbf field;
+        # a tall cbf.theta_z makes a workspace grid too large to allocate, which names map.resolution
+        partner = {("map", "resolution"): ("cbf.theta_z:",), ("map", "truncation"): ("cbf.theta_zero:",),
+                   ("cbf", "theta_z"): ("map.resolution:",)}
         assert str(exc).startswith((section,) + partner.get(target, ()))
 
 
@@ -174,6 +176,9 @@ def _dotted(path) -> str:
     (("events", 0, "object_id"), 99),  # ValueError at the event tick
     (("consistency", "prior_static"), [0, 1]),  # ValueError at the first spawn
     (("consistency", "prior_sigma"), 0),  # ValueError at the first spawn
+    (("consistency", "sigma_m"), 1e-200),  # ValueError at the first consistency update: its square is 0
+    (("consistency", "sigma_m"), 1e200),  # OverflowError at the first consistency update: it is squared
+    (("consistency", "prior_sigma"), 1e200),  # OverflowError at the first consistency update
     (("camera", "vertical_levels"), -1),  # ValueError at the first render
     (("objects", 0, "class_id"), 1.7),  # loaded as 1
     (("name",), 5),  # loaded as "5"
@@ -192,6 +197,9 @@ def _dotted(path) -> str:
     (("consistency", "rho_s"), -3),  # silently skipped by the update
     (("snapshot_ticks",), [-1]),  # never exported
     (("snapshot_ticks",), [0, 150]),  # never exported: the 30 s run at dt = 0.2 has ticks 0 to 149
+    (("map", "resolution"), 5e-5),  # MemoryError at the first tick: a 100,000 x 80,000 x 20,000 workspace grid
+    (("map", "resolution"), 1e-300),  # OverflowError at the first tick: the grid's dims are infinite
+    (("map", "truncation"), 10.0),  # the first observation makes an object grid of 5e8 voxels, 8 GB
     (("controller", "classic_epsilon"), -5),  # classic mode's hard rows admit h >= -5, so the robot may collide
     (("consistency", "removal_threshold"), 0.65),  # above the dynamic prior's 0.6: removed on the tick they spawn
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
@@ -211,7 +219,7 @@ FUZZ_KEYS = (
     + [(("events", 0), key) for key in SHIFT["events"][0]]
 )
 # a value can also break a rule between two fields, which names the other field
-PARTNERS = {"workspace": ("robot.",), "objects": ("events[",), "objects[0].id": ("objects:",),
+PARTNERS = {"workspace": ("robot.", "map.resolution:"), "objects": ("events[",), "objects[0].id": ("objects:",),
             "robot.start": ("robot.goal:",), "goal_tolerance": ("robot.goal:",)}
 SMALL_NUMBERS = st.floats(-8.0, 8.0) | st.integers(-2, 12)  # often valid, so cross-field rules are reached
 
