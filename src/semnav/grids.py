@@ -7,6 +7,7 @@ reduces to array slicing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,13 +32,13 @@ def sample_multilinear(grid, points) -> tuple[np.ndarray, np.ndarray]:
     clamped = np.any((idx < 0.0) | (idx > top), axis=1)
     base = np.clip(np.floor(idx).astype(int), 0, top - 1)
     frac = np.clip(idx - base, 0.0, 1.0)
-    weights = (1.0 - frac, frac)
+    axes = [((b, 1.0 - f), (b + 1, f)) for b, f in zip(base.T, frac.T)]  # per axis: (index, weight) low, high
     out = None
-    for corner in range(1 << idx.shape[1]):
-        bits = [(corner >> a) & 1 for a in range(idx.shape[1])]
-        term = grid.values[tuple(base[:, a] + bit for a, bit in enumerate(bits))]
-        for a, bit in enumerate(bits):
-            term = term * weights[bit][:, a]
+    for corner in itertools.product(*axes[::-1]):  # the last axis varies slowest, so the first fastest
+        index, weights = zip(*corner[::-1])
+        term = grid.values[index]
+        for w in weights:
+            term = term * w
         out = term if out is None else out + term
     return out, clamped
 
