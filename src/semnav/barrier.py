@@ -108,7 +108,6 @@ def extract_labeled_boundary(
     owner: np.ndarray,
     theta_zero: float,
     library: ObjectLibrary,
-    consistency_override: float | None = None,
 ) -> LabeledBoundary:
     """Cells at or below the zero-level threshold, their owners, and each owner's (E[v], stationarity).
 
@@ -118,8 +117,7 @@ def extract_labeled_boundary(
     ix, iy = np.nonzero(m25.values <= theta_zero)
     oid = owner[ix, iy].astype(int)
     recs = {i: library.records[i] for i in np.flatnonzero(np.bincount(oid)).tolist()}
-    ev = consistency_override
-    labels = {i: (rec.consistency.mean_consistency if ev is None else ev, rec.stationarity) for i, rec in recs.items()}
+    labels = {i: (rec.consistency.mean_consistency, rec.stationarity) for i, rec in recs.items()}
     return LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=oid, labels=labels)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .barrier import CbfField
 from .geometry import rot2d
 from .runner import Metrics, RunRecord, compute_metrics
-from .world import apply_scene_events
 
 SVG_SCALE = 80.0  # pixels per metre
 SVG_MARGIN = 10.0  # pixels
@@ -134,11 +133,8 @@ def write_run_svg(record: RunRecord, path: str | Path) -> None:
         px, py = _svg_coords(x, y, workspace)
         return f"{px:.2f}{sep}{py:.2f}"
 
-    # object footprints after the events of the last tick the run recorded
-    world = list(scenario.objects)
-    if record.rows:
-        world = apply_scene_events(world, scenario.events, set(), record.rows[-1].t)
-    for obj in world:
+    # object footprints as the run's last tick left them
+    for obj in record.final_world:
         rot = rot2d(obj.yaw)
         hx, hy = obj.half_extents[0], obj.half_extents[1]
         corners = [rot @ np.array(c) + np.array(obj.center) for c in ((-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy))]

@@ -39,6 +39,7 @@ from .world import (
     ControlInput,
     RobotState,
     SemanticPointCloud,
+    WorldObject,
     apply_scene_events,
     estimate_pose,
     render_depth,
@@ -74,6 +75,7 @@ class RunRecord:
     field_snapshots: dict[int, CbfField] = field(default_factory=dict)
     final_field: CbfField | None = None
     final_global: GlobalTsdf | None = None  # last fused map, for the debug export
+    final_world: list[WorldObject] = field(default_factory=list)  # the scene as the last tick left it
     removed_objects: list[tuple[float, int]] = field(default_factory=list)
     spawned_objects: list[tuple[float, int]] = field(default_factory=list)
 
@@ -105,11 +107,11 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
     return replace(cloud, points=pts)
 
 
-def _block_boundary(library: ObjectLibrary, cbf: sc.CbfParams, consistency_override: float | None):
+def _block_boundary(library: ObjectLibrary, cbf: sc.CbfParams):
     """Fused block, and its projection's labelled boundary with cells on the workspace lattice."""
     global_map = fuse_global_tsdf(library)
     block, owner = project_2p5d(global_map, cbf.theta_z)
-    boundary = extract_labeled_boundary(block, owner, cbf.theta_zero, library, consistency_override)
+    boundary = extract_labeled_boundary(block, owner, cbf.theta_zero, library)
     boundary.cells += np.round((block.origin - library.grid_spec.origin) / block.resolution).astype(int)
     return global_map, boundary
 
@@ -190,7 +192,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 remove_object(library, rec.id)
                 record.removed_objects.append((t_now, rec.id))
 
-        global_map, boundary = _block_boundary(library, scenario.cbf, scenario.consistency_override)
+        global_map, boundary = _block_boundary(library, scenario.cbf)
         edf = build_edf(boundary, scenario.cbf, library.grid_spec, cache=edf_cache)
         cbf_field = build_cbf_field(edf, scenario.cbf)
         if tick in scenario.snapshot_ticks:
@@ -223,6 +225,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
         state = step_dynamics(state, u, ctrl.dt)
 
     record.final_pose = state
+    record.final_world = world
     return record
 
 

@@ -108,7 +108,6 @@ class Scenario:
     cbf: CbfParams = dc_field(default_factory=CbfParams)
     controller: ControllerParams = dc_field(default_factory=ControllerParams)
     consistency: ConsistencyParams = dc_field(default_factory=ConsistencyParams)
-    consistency_override: float | None = None
     snapshot_ticks: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -142,8 +141,6 @@ class Scenario:
             raise ScenarioError("cbf.theta_z: must be at least half of map.resolution")
         if self.seed < 0:
             raise ScenarioError("seed: must be >= 0")
-        if self.consistency_override is not None and not 0.0 < self.consistency_override <= 1.0:
-            raise ScenarioError("consistency_override: must lie in (0, 1], the range of E[v]")
         if not all(0 <= k < self.duration / dt for k in self.snapshot_ticks):  # ticks k of the run, as above
             raise ScenarioError("snapshot_ticks: every tick must be >= 0 and below duration / controller.dt")
         for key, v in (("goal_tolerance", self.goal_tolerance), ("pose_noise.sigma_xy", self.pose_noise_xy),
@@ -202,7 +199,6 @@ _ROOT = {
     "cbf": (CbfParams, {}),
     "controller": (ControllerParams, {}),
     "consistency": (ConsistencyParams, {}),
-    "consistency_override": ("num", None),
     "snapshot_ticks": ("ints", []),
 }
 _FIELDS = {SceneEvent: {"time": "trigger_time", "center": "new_center", "yaw": "new_yaw"}}  # JSON key -> field

@@ -4,6 +4,10 @@ Usage: PYTHONPATH=<checkout>/src python tests/artifact_digests.py > digests.txt
 
 ``semnav`` comes from PYTHONPATH and the scenarios from this file's checkout, so
 ``cmp`` on the outputs of two checkouts shows whether a change kept every bit.
+Run the newer checkout's script against both ``src`` trees, as in
+``PYTHONPATH=<parent>/src python <change>/tests/artifact_digests.py``: an older
+checkout's scenarios may hold a key the newer loader rejects (the shipped files
+held ``"consistency_override": null`` until that key was removed).
 Per run it prints the sha256 of ``trajectory.csv``, each ``field_*.csv``,
 ``run.svg`` and ``metrics.txt`` without its two wall-clock lines, then one line
 per tick with the plan's status, max slack, objective, ``h_values`` and

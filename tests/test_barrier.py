@@ -40,7 +40,7 @@ def boundary_from_cells(grid_spec: Grid2D, cells_by_object, ids=None):
                            labels=labels)
 
 
-def extract_labeled_boundary_oracle(m25, owner, theta_zero, library, consistency_override=None):
+def extract_labeled_boundary_oracle(m25, owner, theta_zero, library):
     """The per-cell labelling that kept one E[v] and one stationarity per cell, stale owners dropped."""
     ix, iy = np.nonzero(m25.values <= theta_zero)
     oid = owner[ix, iy].astype(int)
@@ -48,8 +48,6 @@ def extract_labeled_boundary_oracle(m25, owner, theta_zero, library, consistency
     objs = library.objects()
     ids = np.array([rec.id for rec in objs], dtype=int)
     ev_of = np.array([rec.consistency.mean_consistency for rec in objs], dtype=float)
-    if consistency_override is not None:
-        ev_of[:] = consistency_override
     st_of = np.array([rec.stationarity for rec in objs], dtype=int)
     slot = np.searchsorted(ids, oid)
     keep = slot < ids.size
@@ -193,15 +191,16 @@ class TestBoundaryExtraction:
         with pytest.raises(error):
             extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
 
-    @pytest.mark.parametrize("override", [None, 0.25])
-    def test_labels_match_library_records(self, small_library, override):
-        # live ids 0, 2, 3, 5 with distinct E[v] and both stationarity labels, after
-        # removing 1 and 4; columns above the zero level may have no owner (-1)
+    @pytest.mark.parametrize("ev", [None, 0.25])
+    def test_labels_match_library_records(self, small_library, ev):
+        # live ids 0, 2, 3, 5 with distinct E[v] (or all at E[v] = ev) and both stationarity
+        # labels, after removing 1 and 4; columns above the zero level may have no owner (-1)
         recs = [spawn_object(make_observation([[1.0 + 0.3 * k, 0.0, 0.2]], stationarity=k % 2),
                              small_library, (0, 0, 0.3))
                 for k in range(6)]
         for k, rec in enumerate(recs):
-            rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k, beta=2.0)
+            alpha, beta = (1.0 + k, 2.0) if ev is None else (ev, 1.0 - ev)
+            rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=alpha, beta=beta)
         remove_object(small_library, 1)
         remove_object(small_library, 4)
         rng = np.random.default_rng(3)
@@ -209,20 +208,20 @@ class TestBoundaryExtraction:
         m25.values[:] = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], size=(20, 16))
         owner = rng.choice([0, 2, 3, 5], size=(20, 16))
         owner[(m25.values > PARAMS.theta_zero) & (rng.random((20, 16)) < 0.5)] = -1
-        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library, consistency_override=override)
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
         expected = list(zip(*np.nonzero(m25.values <= PARAMS.theta_zero)))
         assert [tuple(c) for c in b.cells] == expected
         assert b.owner_ids.tolist() == [int(owner[i, j]) for i, j in expected]
-        assert b.labels == {rec.id: (rec.consistency.mean_consistency if override is None else override,
-                                     rec.stationarity) for rec in small_library.objects()}
+        assert b.labels == {rec.id: (rec.consistency.mean_consistency, rec.stationarity)
+                            for rec in small_library.objects()}
         assert {s for _, s in b.labels.values()} == {0, 1}
-        assert len({ev for ev, _ in b.labels.values()}) == (4 if override is None else 1)
+        assert {e for e, _ in b.labels.values()} == ({1 / 3, 3 / 5, 4 / 6, 6 / 8} if ev is None else {ev})
 
     @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(2, 6), override=st.sampled_from([None, 0.25]))
-    def test_matches_per_cell_oracle(self, seed, n_objects, override):
-        # live ids with gaps, as after removals, distinct E[v] and both labels; only
-        # columns above the zero level lack an owner, as in a fused map
+    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(2, 6), ev=st.sampled_from([None, 0.25]))
+    def test_matches_per_cell_oracle(self, seed, n_objects, ev):
+        # live ids with gaps, as after removals, distinct E[v] (or all at E[v] = ev) and both
+        # labels; only columns above the zero level lack an owner, as in a fused map
         rng = np.random.default_rng(seed)
         library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
                                 workspace=(-1.0, -2.0, 4.0, 2.0), height=1.0)
@@ -230,15 +229,16 @@ class TestBoundaryExtraction:
         for k, oid in enumerate(ids):
             library.records[oid] = ObjectRecord(
                 id=oid, class_id=1, stationarity=k % 2, position=np.zeros(3),
-                consistency=GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k, beta=2.0),
+                consistency=GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0 + k if ev is None else ev,
+                                              beta=2.0 if ev is None else 1.0 - ev),
                 tsdf=VoxelGrid3D.empty(np.zeros(3), RES, (1, 1, 1), fill=0.3))
         shape = tuple(rng.integers(1, 24, size=2))
         m25 = Grid2D.full((0.2, -0.4), RES, shape, 0.3)
         m25.values[:] = rng.choice([0.0, 0.1, 0.15, 0.2, 0.3], size=shape)
         owner = rng.choice(ids, size=shape).astype(np.int32)
         owner[(m25.values > PARAMS.theta_zero) & (rng.random(shape) < 0.5)] = -1
-        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, library, consistency_override=override)
-        o = extract_labeled_boundary_oracle(m25, owner, PARAMS.theta_zero, library, consistency_override=override)
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, library)
+        o = extract_labeled_boundary_oracle(m25, owner, PARAMS.theta_zero, library)
         for got, want in ((b.cells, o.cells), (b.owner_ids, o.owner_ids)):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert set(b.labels) == set(o.owner_ids.tolist())
@@ -246,13 +246,17 @@ class TestBoundaryExtraction:
         assert np.array_equal(np.array([ev for ev, _ in per_cell], dtype=float), o.consistency)
         assert np.array_equal(np.array([s for _, s in per_cell], dtype=int), o.stationarity)
 
-    def test_consistency_override(self, small_library):
+    def test_label_follows_the_filtered_consistency(self, small_library):
+        # a new object carries its prior's E[v]; once the filter moves it, the next extraction reads the new value
         rec = spawn_object(make_observation([[1.0, 0.0, 0.2]]), small_library, (0, 0, 0.3))
         m25 = Grid2D.full((0, 0), RES, (16, 16), 0.3)
         m25.values[3, 3] = 0.0
         owner = np.full((16, 16), -1, dtype=int)
         owner[3, 3] = rec.id
-        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library, consistency_override=0.25)
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
+        assert b.labels == {rec.id: (0.9, 1)}
+        rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0, beta=3.0)
+        b = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
         assert b.labels == {rec.id: (0.25, 1)}
 
 
@@ -389,8 +393,9 @@ class TestCbfField:
         m25.values[40:44, 35:45] = 0.04
         owner[40:44, 35:45] = rec2.id
         rec1.stationarity = rec2.stationarity = 1
-        boundary = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library,
-                                            consistency_override=1.0 / PARAMS.lambda_c)
+        for rec in (rec1, rec2):  # E[v] = 1 / lambda_c = 1/3
+            rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=1.0, beta=2.0)
+        boundary = extract_labeled_boundary(m25, owner, PARAMS.theta_zero, small_library)
         semantic = build_semantic_edf(boundary, PARAMS, m25)
         plain = build_plain_edf(boundary, PARAMS, m25)
         np.testing.assert_allclose(semantic.values, plain.values, atol=1e-12)

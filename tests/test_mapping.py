@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 import semnav.runner as runner_mod
 from semnav.barrier import CbfParams, extract_labeled_boundary, project_2p5d
-from semnav.consistency import ConsistencyParams, initial_state
+from semnav.consistency import ConsistencyParams, GaussianBetaState, initial_state
 from semnav.grids import VoxelGrid3D, sample_multilinear
 from semnav.mapping import (
     FORBIDDEN_COST,
@@ -125,10 +125,10 @@ def assert_boundaries_equal(got, want):
     assert list(got.labels.items()) == list(want.labels.items())
 
 
-def oracle_boundary(library, cbf, consistency_override=None):
+def oracle_boundary(library, cbf):
     """The labelled boundary of the full-grid oracle's projection, and that projection."""
     ref, ref_owner = project_2p5d(fuse_global_tsdf_oracle(library), cbf.theta_z)
-    return extract_labeled_boundary(ref, ref_owner, cbf.theta_zero, library, consistency_override), ref, ref_owner
+    return extract_labeled_boundary(ref, ref_owner, cbf.theta_zero, library), ref, ref_owner
 
 
 def assert_block_matches_oracle(library, theta_z):
@@ -152,7 +152,7 @@ def assert_block_matches_oracle(library, theta_z):
     assert np.all(oracle.owner[outside] == -1)
 
     cbf = CbfParams(theta_z=theta_z)
-    global_map, boundary = runner_mod._block_boundary(library, cbf, None)
+    global_map, boundary = runner_mod._block_boundary(library, cbf)
     want, ref, ref_owner = oracle_boundary(library, cbf)
     assert global_map.values.tobytes() == block.values.tobytes()
     spec = library.grid_spec
@@ -521,11 +521,12 @@ class TestBlockFusion:
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), corner=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
            where=st.lists(st.integers(0, 5), max_size=7), removed=st.sets(st.integers(0, 6), max_size=2),
-           override=st.none() | st.floats(0.1, 1.0))
-    def test_shifted_block_boundary_matches_full_grid_oracle(self, seed, corner, where, removed, override):
+           ev=st.none() | st.floats(0.1, 0.9))
+    def test_shifted_block_boundary_matches_full_grid_oracle(self, seed, corner, where, removed, ev):
         # a 3 x 2 m workspace whose low corner is mostly off the lattice; each object
         # straddles one workspace edge, sits inside, or (5) lies wholly outside, with
-        # either label; some are removed again, and no objects is the empty library
+        # either label and its prior's E[v] or a pinned one; some are removed again,
+        # and no objects is the empty library
         rng = np.random.default_rng(seed)
         x0, y0 = corner
         library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
@@ -536,12 +537,14 @@ class TestBlockFusion:
             center = np.append(np.add(center, rng.uniform(-0.2, 0.2, size=2)), 0.25)
             pts = center + rng.uniform(-0.25, 0.25, size=(int(rng.integers(1, 20)), 3))
             obs = make_observation(pts, stationarity=int(rng.integers(0, 2)))
-            spawn_object(obs, library, sensor)
+            rec = spawn_object(obs, library, sensor)
+            if ev is not None:
+                rec.consistency = GaussianBetaState(mu=0.0, sigma=0.2, alpha=ev, beta=1.0 - ev)
         for oid in removed & set(library.records):
             remove_object(library, oid)
         cbf = CbfParams(theta_z=0.5)
-        _, boundary = runner_mod._block_boundary(library, cbf, override)
-        want, _, _ = oracle_boundary(library, cbf, override)
+        _, boundary = runner_mod._block_boundary(library, cbf)
+        want, _, _ = oracle_boundary(library, cbf)
         assert_boundaries_equal(boundary, want)
 
     def test_block_reaches_each_workspace_edge(self):

@@ -19,7 +19,7 @@ from semnav.report import (
     write_trajectory_csv,
 )
 from semnav.runner import run_closed_loop
-from semnav.scenario import Scenario
+from semnav.scenario import Scenario, load_scenario
 from semnav.world import SceneEvent, WorldObject
 
 from conftest import plain_edf
@@ -137,6 +137,17 @@ class TestMarchingSquares:
         assert marching_squares(field, 0.0) == []
 
 
+def footprint_centers(rec, tmp_path):
+    """World centres of the footprint polygons in the record's run.svg."""
+    write_run_svg(rec, tmp_path / "run.svg")
+    xmin, _, _, ymax = rec.scenario.workspace
+    centers = []
+    for polygon in ET.parse(tmp_path / "run.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polygon"):
+        px, py = np.array([c.split(",") for c in polygon.get("points").split()], dtype=float).mean(axis=0)
+        centers.append(((px - SVG_MARGIN) / SVG_SCALE + xmin, ymax - (py - SVG_MARGIN) / SVG_SCALE))
+    return centers
+
+
 class TestSvg:
     def test_well_formed_with_one_polyline(self, tmp_path):
         rec = small_run()
@@ -150,22 +161,23 @@ class TestSvg:
 
     def test_footprints_stop_at_the_last_recorded_tick(self, tmp_path):
         # the object moves at t = 0.5 and again at t = 1000, long after the run ends
-        rec = small_run()
         moves = [SceneEvent(trigger_time=0.5, object_id=0, action="teleport", new_center=(1.0, -1.5)),
                  SceneEvent(trigger_time=1000.0, object_id=0, action="teleport", new_center=(3.0, -1.0))]
-        rec.scenario = replace(rec.scenario, events=moves)
-        xmin, _, _, ymax = rec.scenario.workspace
-
-        def footprint_center():
-            write_run_svg(rec, tmp_path / "run.svg")
-            (polygon,) = ET.parse(tmp_path / "run.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polygon")
-            px, py = np.array([c.split(",") for c in polygon.get("points").split()], dtype=float).mean(axis=0)
-            return (px - SVG_MARGIN) / SVG_SCALE + xmin, ymax - (py - SVG_MARGIN) / SVG_SCALE
-
+        rec = small_run(events=moves)
         assert rec.rows[-1].t >= 0.5
-        assert footprint_center() == pytest.approx((1.0, -1.5), abs=0.01)
-        rec.rows = []  # no tick ran, so no event applied
-        assert footprint_center() == pytest.approx((2.0, 1.2), abs=0.01)
+        assert footprint_centers(rec, tmp_path) == [pytest.approx((1.0, -1.5), abs=0.01)]
+        rec = small_run(events=moves, duration=0.4)  # ticks at t = 0 and 0.2: no event applied
+        assert footprint_centers(rec, tmp_path) == [pytest.approx((2.0, 1.2), abs=0.01)]
+
+    def test_footprints_follow_the_runs_event_order(self, scenario_dir, tmp_path):
+        # listed out of time order: the run applies t = 0.1 at its tick 0.2 and t = 0.5 at its
+        # tick 0.6, so the object ends at (3, 1); applying both at once in list order ends at (3, -1)
+        moves = [SceneEvent(trigger_time=0.5, object_id=0, action="teleport", new_center=(3.0, 1.0)),
+                 SceneEvent(trigger_time=0.1, object_id=0, action="teleport", new_center=(3.0, -1.0))]
+        sweep = replace(load_scenario(scenario_dir / "wall_sweep.json"), duration=1.0, events=moves)
+        rec = run_closed_loop(sweep)
+        assert footprint_centers(rec, tmp_path) == [pytest.approx((3.0, 1.0), abs=0.01)]
+        assert [o.center for o in rec.final_world] == [(3.0, 1.0)]
 
 
 class TestFieldCsv:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import semnav.mpc as mpc_mod
 import semnav.runner as runner_mod
 from semnav.barrier import project_2p5d
+from semnav.consistency import ConsistencyParams
 from semnav.mapping import fuse_global_tsdf
 from semnav.mpc import hold_trajectory, mpc_step
 from semnav.qp import solve_qp
@@ -54,12 +55,15 @@ class TestClosedLoop:
             assert ra.h == rb.h
             assert ra.object_ev == rb.object_ev
 
-    def test_mode_equivalence_with_pinned_labels(self):
+    def test_mode_equivalence_with_pinned_labels(self, monkeypatch):
+        # every object stays at its prior's E[v] = 1/3, so lambda_c * E[v] = 3.0 * (1/3) == 1.0 exactly
+        monkeypatch.setattr(runner_mod, "update_consistency", lambda state, *args: (state, False))
         objs = [WorldObject(id=0, center=(2.0, -0.3), yaw=0.0, half_extents=(0.1, 1.3, 0.5),
                             class_id=1, stationarity=1)]
+        consistency = ConsistencyParams(prior_static=(1.0, 2.0), removal_threshold=0.3)
         base = dict(name="eq", workspace=(-1, -2.5, 5, 3.5), start=(0, 1.5, 0), goal=(4, 1.5, 0),
-                    objects=objs, duration=12.0, seed=7)
-        semantic = Scenario(**base, mode=MODE_SEMANTIC, consistency_override=1.0 / 3.0)
+                    objects=objs, duration=12.0, seed=7, consistency=consistency)
+        semantic = Scenario(**base, mode=MODE_SEMANTIC)
         plain = Scenario(**base, mode=MODE_NONSEMANTIC)
         ra, rb = run_closed_loop(semantic), run_closed_loop(plain)
         pa = np.array([[r.true_pose.x, r.true_pose.y, r.true_pose.theta] for r in ra.rows])
@@ -286,8 +290,8 @@ def test_boundary_keeps_every_zero_level_cell(scenario_dir, monkeypatch, name, m
     real = runner_mod.extract_labeled_boundary
     counts = []
 
-    def spy(m25, owner, theta_zero, library, consistency_override=None):
-        boundary = real(m25, owner, theta_zero, library, consistency_override)
+    def spy(m25, owner, theta_zero, library):
+        boundary = real(m25, owner, theta_zero, library)
         counts.append((len(boundary), int(np.count_nonzero(m25.values <= theta_zero))))
         return boundary
 
@@ -301,9 +305,9 @@ def checked_boundary(monkeypatch, ticks):
     """Wrap the runner's block boundary so every tick compares it with the full-grid oracle's."""
     real = runner_mod._block_boundary
 
-    def checked(library, cbf, consistency_override):
-        global_map, boundary = real(library, cbf, consistency_override)
-        want, ref, ref_owner = oracle_boundary(library, cbf, consistency_override)
+    def checked(library, cbf):
+        global_map, boundary = real(library, cbf)
+        want, ref, ref_owner = oracle_boundary(library, cbf)
         assert library.grid_spec.origin.tobytes() == ref.origin.tobytes() and library.grid_spec.dims == ref.dims
         assert_boundaries_equal(boundary, want)
         unobserved = bool(np.all(ref.values == library.params.truncation) and np.all(ref_owner == -1))

@@ -65,6 +65,14 @@ def test_unknown_keys_rejected_with_path():
         scenario_from_dict(bad2)
 
 
+@pytest.mark.parametrize("value", [None, 0.25])
+def test_consistency_override_is_an_unknown_key(value):
+    # labels come only from the filter; the key that pinned every object's E[v] is gone, and null
+    # no longer reads as absent
+    with pytest.raises(ScenarioError, match=re.escape("root: unknown key(s) ['consistency_override']")):
+        scenario_from_dict(dict(MINIMAL, consistency_override=value))
+
+
 def test_round_trip_identity(tmp_path):
     sc = scenario_from_dict(dict(MINIMAL, mode=MODE_CLASSIC, seed=7,
                                  events=[{"time": 2.0, "object_id": 0, "action": "teleport", "center": [2.5, 1.0]}]))
@@ -191,9 +199,6 @@ def _dotted(path) -> str:
     (("consistency", "n_max"), 0),  # ValueError at the first consistency update
     (("robot", "goal"), [0.1, 0.0, 0.0]),  # no tick recorded; compute_metrics raises on the empty record
     (("cbf", "theta_zero"), 0.3),  # = map.truncation: every never-observed column is on the zero level
-    (("consistency_override",), 0),  # h = -bias everywhere
-    (("consistency_override",), -0.5),  # the barrier falls with distance
-    (("consistency_override",), 7.0),  # not a probability
     (("consistency", "rho_s"), -3),  # silently skipped by the update
     (("snapshot_ticks",), [-1]),  # never exported
     (("snapshot_ticks",), [0, 150]),  # never exported: the 30 s run at dt = 0.2 has ticks 0 to 149
