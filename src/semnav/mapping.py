@@ -1,8 +1,9 @@
 """Object-level TSDF mapping: association, per-object fusion, global map.
 
-Each mapped object keeps its own world-aligned truncated signed distance grid;
-the joint scene map is the per-voxel minimum over objects. Because all grids
-share one lattice, fusion is pure array slicing.
+Each mapped object keeps its own world-aligned truncated signed distance grid,
+storing only the voxels integration gives weight; the joint scene map is the
+per-voxel minimum over objects on one dense block. All grids share one lattice,
+so fusion scatters each object's voxels into the block by an integer shift.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class MapParams:
 
     @property
     def pad(self) -> float:
-        """How far an object grid reaches past its points: so far that a displaced re-observation lands inside."""
+        """How far an object grid's extent reaches past its points: so far that a displaced re-observation lands inside.
+        The extent costs no memory, as a grid stores only the voxels integration gives weight."""
         return 2.0 * self.truncation + 2.0 * self.resolution
 
 
@@ -265,13 +267,10 @@ def integrate_observation(
     sums = np.bincount(slot, weights=sdf)
     counts = np.bincount(slot)
 
-    v = grid.values.reshape(-1)
-    w = grid.weights.reshape(-1)
-    w_old = w[touched]
-    v[touched] = (v[touched] * w_old + sums) / (w_old + counts)
-    w[touched] = np.minimum(w_old + counts, params.weight_cap)
-    grid.values = v.reshape(grid.dims)
-    grid.weights = w.reshape(grid.dims)
+    at = grid.allocate(touched)
+    w_old = grid.weights[at]
+    grid.values[at] = (grid.values[at] * w_old + sums) / (w_old + counts)
+    grid.weights[at] = np.minimum(w_old + counts, params.weight_cap)
 
     total = record.n_points + pts.shape[0]
     record.position = (record.position * record.n_points + pts.sum(axis=0)) / total
@@ -319,11 +318,11 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
 
     In x and y the block is the union of the object grids clipped to the
     workspace grid (zero extent when none reaches it), in z every workspace
-    layer; voxels outside it are unobserved. Voxels an object never observed
-    contribute the truncation value, which they already hold: object grids are
-    spawned and grown with it as their background, and integration writes only
-    voxels it gives weight. The owner is the object attaining a value strictly
-    below the background; ids ascend, so the lowest id wins ties.
+    layer; voxels outside it are unobserved. The block starts at the
+    truncation value, the background of every object grid, so a voxel an
+    object never observed could not lower it and only stored voxels are
+    scattered in. The owner is the object attaining a value strictly below the
+    current one; ids ascend, so the lowest id wins ties.
     """
     tau = library.params.truncation
     res = library.params.resolution
@@ -339,14 +338,18 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
     b_hi = np.append(np.max([p[3] for p in parts] or [g_lo], axis=0)[:2], g_hi[2])
     values = np.full(b_hi - b_lo, tau, dtype=np.float64)
     owner = np.full(b_hi - b_lo, -1, dtype=np.int32)
-    for rec, o_lo, lo, hi in parts:
-        bsl = tuple(slice(lo[a] - b_lo[a], hi[a] - b_lo[a]) for a in range(3))
-        osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
-        cand = rec.tsdf.values[osl]
-        region = values[bsl]
-        better = cand < region
-        np.copyto(region, cand, where=better)
-        np.copyto(owner[bsl], rec.id, where=better)
+    flat_values, flat_owner = values.reshape(-1), owner.reshape(-1)
+    shape = np.array(values.shape)
+    for rec, o_lo, _, _ in parts:
+        # each stored voxel's index in the block; one off the block is off the workspace grid
+        at = rec.tsdf.indices() + (o_lo - b_lo)[:, None]
+        keep = np.all((at >= 0) & (at < shape[:, None]), axis=0)
+        i, j, k = at.compress(keep, axis=1)
+        flat = (i * shape[1] + j) * shape[2] + k
+        cand = rec.tsdf.values[keep]
+        better = cand < flat_values[flat]
+        flat_values[flat[better]] = cand[better]
+        flat_owner[flat[better]] = rec.id
 
     return GlobalTsdf(origin=b_lo * res, resolution=res, values=values, owner=owner)
 

@@ -28,9 +28,10 @@ MODE_CLASSIC = "classic_mpc"
 MODES = (MODE_SEMANTIC, MODE_NONSEMANTIC, MODE_CLASSIC)
 
 
-# A run's grids are dense float64: 2**22 voxels is 32 MiB an array, and a run holds a few such arrays (object
-# values and weights, the fused block and its owners, one distance grid per boundary piece), well under a
-# gigabyte. The largest shipped grid, drawer_gap's 128 x 128 x 20 workspace grid, is nearly 13 times smaller.
+# A run's dense grids are float64: 2**22 voxels is 32 MiB an array, and a run holds a few such arrays (the fused
+# block and its owners, one distance grid per boundary piece), well under a gigabyte. An object grid stores only
+# its observed voxels, but its extent grows with truncation / resolution, as does the band each ray stamps.
+# The largest shipped grid, drawer_gap's 128 x 128 x 20 workspace grid, is nearly 13 times smaller.
 MAX_GRID_VOXELS = 2**22
 
 
@@ -155,8 +156,8 @@ class Scenario:
         for key, what, voxels in (("map.resolution", "the workspace grid up to cbf.theta_z", workspace_voxels),
                                   ("map.truncation", "an object's first grid", object_voxels)):
             if voxels > MAX_GRID_VOXELS:
-                raise ScenarioError(f"{key}: {what} would hold {voxels:.3g} voxels, "
-                                    f"above the {MAX_GRID_VOXELS} a run allocates")
+                raise ScenarioError(f"{key}: {what} would span {voxels:.3g} voxels, "
+                                    f"above the {MAX_GRID_VOXELS} a grid may span")
         if self.cbf.theta_zero >= self.map_params.truncation:  # never-observed voxels hold the truncation
             raise ScenarioError("cbf.theta_zero: must be below map.truncation")
 

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from semnav.consistency import ConsistencyParams
+from semnav.grids import VoxelGrid3D, snap_to_lattice
 from semnav.mapping import MapParams, ObjectLibrary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,3 +53,56 @@ def plain_edf(m25, theta_zero, params):
     boundary = LabeledBoundary(cells=np.stack([ix, iy], axis=1), owner_ids=np.zeros(ix.size, dtype=int),
                                labels={0: (1.0, 1)} if ix.size else {})
     return build_plain_edf(boundary, params, m25)
+
+
+@dataclass
+class DenseVoxels:
+    """A voxel grid held whole: ``values`` and ``weights`` over every voxel of the extent.
+
+    The dense twin of ``VoxelGrid3D``, for the oracles: ``grown_to_include``
+    copies the arrays into a larger pair filled with ``background`` and weight 0.
+    """
+
+    origin: np.ndarray  # (3,)
+    resolution: float
+    values: np.ndarray  # (nx, ny, nz)
+    weights: np.ndarray  # (nx, ny, nz)
+    background: float
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.values.shape
+
+    def index_origin(self) -> np.ndarray:
+        return np.round(self.origin / self.resolution).astype(int)
+
+    def grown_to_include(self, lo, hi) -> "DenseVoxels":
+        new_lo = np.minimum(self.origin, [snap_to_lattice(v, self.resolution) for v in lo])
+        new_hi = np.maximum(self.origin + np.array(self.dims) * self.resolution, hi)
+        new_dims = tuple(np.ceil(np.round((new_hi - new_lo) / self.resolution, 9)).astype(int))
+        if np.array_equal(new_lo, self.origin) and new_dims == self.dims:
+            return self
+        origin = np.array([snap_to_lattice(v, self.resolution) for v in new_lo])
+        grown = DenseVoxels(origin, self.resolution, np.full(new_dims, self.background), np.zeros(new_dims),
+                            self.background)
+        off = np.round((self.origin - grown.origin) / self.resolution).astype(int)
+        sl = tuple(slice(off[a], off[a] + self.dims[a]) for a in range(3))
+        grown.values[sl] = self.values
+        grown.weights[sl] = self.weights
+        return grown
+
+
+def dense(grid: VoxelGrid3D) -> DenseVoxels:
+    """The sparse grid over its whole extent: ``background`` and weight 0 wherever nothing is stored."""
+    values, weights = np.full(grid.dims, grid.background), np.zeros(grid.dims)
+    np.put(values, grid.keys, grid.values)
+    np.put(weights, grid.keys, grid.weights)
+    return DenseVoxels(grid.origin.copy(), grid.resolution, values, weights, grid.background)
+
+
+def sparse(origin, resolution: float, values, weights, background: float = 0.0) -> VoxelGrid3D:
+    """The ``VoxelGrid3D`` storing the voxels of dense ``values`` whose ``weights`` are not 0."""
+    keys = np.flatnonzero(weights)
+    return VoxelGrid3D(origin=np.asarray(origin, dtype=float), resolution=resolution, dims=np.shape(values),
+                       background=background, keys=keys, values=np.ravel(values)[keys],
+                       weights=np.ravel(weights)[keys])

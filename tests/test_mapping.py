@@ -28,15 +28,16 @@ from semnav.mapping import (
 )
 from semnav.world import DepthCamera, RobotState, SemanticPointCloud, WorldObject, render_depth
 
-from conftest import make_observation
+from conftest import dense, make_observation
 
 
 def dense_integrate(record, obs, sensor_origin, params):
     """Projective TSDF update accumulated on the full grid with ``np.add.at``.
 
-    The stamps are generated as ``integrate_observation`` generates them; the
-    sums and counts go into two zeroed arrays the size of the grid, and every
-    voxel with a non-zero count is updated.
+    ``record.tsdf`` is a ``DenseVoxels``. The stamps are generated as
+    ``integrate_observation`` generates them; the sums and counts go into two
+    zeroed arrays the size of the grid, and every voxel with a non-zero count
+    is updated.
     """
     origin = np.asarray(sensor_origin, dtype=float)
     rays = obs.points - origin[None, :]
@@ -90,7 +91,7 @@ def fuse_global_tsdf_oracle(library):
 
     Every workspace voxel starts at the truncation value with owner -1; each
     object, in ascending id order, writes the values strictly below the
-    current ones over its overlap with the grid.
+    current ones over its overlap with the grid, read from its dense twin.
     """
     tau = library.params.truncation
     res = library.params.resolution
@@ -108,7 +109,7 @@ def fuse_global_tsdf_oracle(library):
             continue
         gsl = tuple(slice(lo[a] - g_lo[a], hi[a] - g_lo[a]) for a in range(3))
         osl = tuple(slice(lo[a] - o_lo[a], hi[a] - o_lo[a]) for a in range(3))
-        cand = rec.tsdf.values[osl]
+        cand = dense(rec.tsdf).values[osl]
         region = values[gsl]
         better = cand < region
         np.copyto(region, cand, where=better)
@@ -329,7 +330,7 @@ class TestIntegration:
         params = small_library.params
         obs = make_observation([[2.0, 0.0, 0.5]])
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.5))
-        grid = rec.tsdf
+        grid = dense(rec.tsdf)
         idx = np.argwhere(grid.weights > 0)
         assert len(idx) > 0
         xs = grid.origin[0] + (np.arange(grid.dims[0]) + 0.5) * grid.resolution
@@ -346,14 +347,16 @@ class TestIntegration:
     def test_double_integration_identical(self, small_library):
         obs = self._perpendicular_wall_obs()
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.5))
-        before = rec.tsdf.values.copy()
+        before = dense(rec.tsdf)
         integrate_observation(rec, obs, (0.0, 0.0, 0.5), small_library.params)
-        np.testing.assert_allclose(rec.tsdf.values, before, atol=1e-12)
+        after = dense(rec.tsdf)
+        assert after.dims == before.dims
+        np.testing.assert_allclose(after.values, before.values, atol=1e-12)
 
     def test_far_behind_surface_untouched(self, small_library):
         obs = self._perpendicular_wall_obs()
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.5))
-        grid = rec.tsdf
+        grid = dense(rec.tsdf)
         tau, res = small_library.params.truncation, small_library.params.resolution
         xs = grid.origin[0] + (np.arange(grid.dims[0]) + 0.5) * res
         deep = xs > 2.0 + tau + res  # beyond the band along every head-on ray
@@ -363,10 +366,11 @@ class TestIntegration:
     def test_empty_observation_noop(self, small_library):
         obs = self._perpendicular_wall_obs()
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.5))
-        before = rec.tsdf.values.copy()
+        before = dense(rec.tsdf)
         empty = make_observation(np.zeros((0, 3)))
         integrate_observation(rec, empty, (0.0, 0.0, 0.5), small_library.params)
-        np.testing.assert_array_equal(rec.tsdf.values, before)
+        assert dense(rec.tsdf).values.tobytes() == before.values.tobytes()
+        assert dense(rec.tsdf).weights.tobytes() == before.weights.tobytes()
 
     def test_stamp_off_the_grid_raises(self, small_library, monkeypatch):
         # the pad keeps every stamp on the grid; without growth the wall's
@@ -384,8 +388,9 @@ class TestIntegration:
             pts = obs.points + rng.normal(0, 0.01, size=obs.points.shape)
             integrate_observation(rec, make_observation(pts), (0.0, 0.0, 0.5), small_library.params)
         tau = small_library.params.truncation
-        assert np.all(np.abs(rec.tsdf.values) <= tau + 1e-12)
-        assert np.all(rec.tsdf.weights <= small_library.params.weight_cap)
+        grid = dense(rec.tsdf)
+        assert np.all(np.abs(grid.values) <= tau + 1e-12)
+        assert np.all(grid.weights <= small_library.params.weight_cap)
 
     @settings(max_examples=80)
     @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 0.004, 0.02, 0.15]),
@@ -394,7 +399,8 @@ class TestIntegration:
     def test_sparse_accumulation_matches_dense_oracle(self, seed, spread, n_points, weight_cap, shift):
         # clustered points send rays through shared voxels (spread 0: one
         # point repeated), small caps are reached, and a shifted second view
-        # grows the grid unless the shift is small
+        # grows the grid unless the shift is small; the grid stores exactly the
+        # voxels the oracle gave weight, in increasing key order
         rng = np.random.default_rng(seed)
         params = MapParams(weight_cap=weight_cap)
         sensor = np.array([0.0, 0.0, 0.3]) + rng.uniform(-0.2, 0.2, size=3)
@@ -405,13 +411,16 @@ class TestIntegration:
         record = ObjectRecord(id=0, class_id=1, stationarity=1, position=center.copy(),
                               consistency=initial_state(1, ConsistencyParams()), tsdf=grid)
         oracle = copy.deepcopy(record)
+        oracle.tsdf = dense(grid)
         for pts in (first, second):
             integrate_observation(record, make_observation(pts), sensor, params)
             dense_integrate(oracle, make_observation(pts), sensor, params)
             assert record.tsdf.dims == oracle.tsdf.dims
             np.testing.assert_array_equal(record.tsdf.origin, oracle.tsdf.origin)
-            assert record.tsdf.values.tobytes() == oracle.tsdf.values.tobytes()
-            assert record.tsdf.weights.tobytes() == oracle.tsdf.weights.tobytes()
+            assert dense(record.tsdf).values.tobytes() == oracle.tsdf.values.tobytes()
+            assert dense(record.tsdf).weights.tobytes() == oracle.tsdf.weights.tobytes()
+            assert np.array_equal(record.tsdf.keys, np.flatnonzero(oracle.tsdf.weights))
+            assert np.all(np.diff(record.tsdf.keys) > 0) and np.all(record.tsdf.weights != 0.0)
             assert record.position.tobytes() == oracle.position.tobytes()
             assert record.n_points == oracle.n_points
         assert record.tsdf.weights.max() <= weight_cap
@@ -463,11 +472,12 @@ class TestFusion:
         expected = np.full(g.dims, tau)
         owner = np.full(g.dims, -1, dtype=int)
         for rec in recs:
+            grid = dense(rec.tsdf)
             for idx in np.ndindex(g.dims):
                 center = g.origin + (np.array(idx) + 0.5) * res
-                gi = np.floor((center - rec.tsdf.origin) / res).astype(int)
-                if np.all(gi >= 0) and np.all(gi < rec.tsdf.dims):
-                    v = rec.tsdf.values[tuple(gi)] if rec.tsdf.weights[tuple(gi)] > 0 else tau
+                gi = np.floor((center - grid.origin) / res).astype(int)
+                if np.all(gi >= 0) and np.all(gi < grid.dims):
+                    v = grid.values[tuple(gi)] if grid.weights[tuple(gi)] > 0 else tau
                 else:
                     v = tau
                 if v < expected[idx]:
@@ -613,7 +623,8 @@ class TestSpawnRemove:
         integrate_observation(rec, make_observation([[2.0, 0.5, 0.2]]), (0, 0, 0.3), small_library.params)
         assert rec.tsdf.dims != dims
         assert rec.tsdf.background == tau
-        assert np.all(rec.tsdf.values[rec.tsdf.weights == 0.0] == tau)
+        grid = dense(rec.tsdf)
+        assert np.all(grid.values[grid.weights == 0.0] == tau)
 
     def test_spawn_grid_is_sized_by_integration_alone(self, small_library, monkeypatch):
         obs = make_observation([[1.0, 0.1, 0.2], [1.1, -0.2, 0.4], [0.9, 0.3, 0.1]])
@@ -637,8 +648,8 @@ class TestSpawnRemove:
         )
         integrate_observation(ref, obs, sensor, params)
         assert np.array_equal(rec.tsdf.origin, ref.tsdf.origin) and rec.tsdf.dims == ref.tsdf.dims
-        assert np.array_equal(rec.tsdf.values, ref.tsdf.values)
-        assert np.array_equal(rec.tsdf.weights, ref.tsdf.weights)
+        assert np.array_equal(dense(rec.tsdf).values, dense(ref.tsdf).values)
+        assert np.array_equal(dense(rec.tsdf).weights, dense(ref.tsdf).weights)
 
     def test_spawn_empty_rejected(self, small_library):
         with pytest.raises(ValueError):
@@ -663,11 +674,37 @@ class TestSpawnRemove:
 def test_voxel_grid_background_carries_over_growth():
     grid = VoxelGrid3D.empty((0.0, 0.0, 0.0), 0.1, (2, 2, 2), fill=0.7)
     assert grid.background == 0.7
-    grid.values[:] = 0.2
+    grid.keys, grid.values, grid.weights = np.arange(8), np.full(8, 0.2), np.ones(8)
     grown = grid.grown_to_include(np.array([-0.3, 0.0, 0.0]), np.array([0.2, 0.2, 0.2]))
     assert grown.dims == (5, 2, 2) and grown.background == 0.7
-    assert np.all(grown.values[3:] == 0.2) and np.all(grown.values[:3] == 0.7)
+    values = dense(grown).values
+    assert np.all(values[3:] == 0.2) and np.all(values[:3] == 0.7)
     assert grid.grown_to_include(np.zeros(3), np.full(3, 0.2)) is grid
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 6)] * 3), reach=st.floats(0.0, 0.4))
+def test_growth_rekeys_every_stored_voxel(seed, dims, reach):
+    # a random subset of voxels is stored; the box pokes out of the grid by up to ``reach`` on each side
+    rng = np.random.default_rng(seed)
+    grid = VoxelGrid3D.empty(rng.uniform(-1.0, 1.0, size=3), 0.05, dims, fill=0.3)
+    n = int(np.prod(dims))
+    grid.keys = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    grid.values, grid.weights = rng.normal(size=grid.keys.size), rng.uniform(0.5, 3.0, size=grid.keys.size)
+    hi = grid.origin + np.array(dims) * grid.resolution
+    lo, hi = grid.origin - rng.uniform(0.0, reach, size=3), hi + rng.uniform(0.0, reach, size=3)
+    grown = grid.grown_to_include(lo, hi)
+    # every stored voxel keeps its lattice position, value and weight, and the keys stay strictly increasing
+    lattice = lambda g: g.index_origin()[:, None] + np.array(np.unravel_index(g.keys, g.dims))
+    assert np.array_equal(lattice(grown), lattice(grid))
+    assert grown.values.tobytes() == grid.values.tobytes() and grown.weights.tobytes() == grid.weights.tobytes()
+    assert np.all(np.diff(grown.keys) > 0)
+    want = dense(grid).grown_to_include(lo, hi)
+    assert grown.dims == want.dims and grown.origin.tobytes() == want.origin.tobytes()
+    assert dense(grown).values.tobytes() == want.values.tobytes()
+    assert dense(grown).weights.tobytes() == want.weights.tobytes()
+    # a growth that needs nothing returns the same grid
+    assert grown.grown_to_include(lo, hi) is grown
 
 
 @pytest.mark.parametrize("field", ["resolution", "truncation", "weight_cap", "gate"])

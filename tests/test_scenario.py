@@ -204,7 +204,7 @@ def _dotted(path) -> str:
     (("snapshot_ticks",), [0, 150]),  # never exported: the 30 s run at dt = 0.2 has ticks 0 to 149
     (("map", "resolution"), 5e-5),  # the run's setup asks for a 100,000 x 80,000 workspace grid, 60 GiB
     (("map", "resolution"), 1e-300),  # OverflowError at the run's setup: the workspace grid's origin is infinite
-    (("map", "truncation"), 10.0),  # the first observation makes an object grid of 5e8 voxels, 8 GB
+    (("map", "truncation"), 10.0),  # an object grid spanning 5e8 voxels, each ray stamping 401 band samples
     (("controller", "classic_epsilon"), -5),  # classic mode's hard rows admit h >= -5, so the robot may collide
     (("consistency", "removal_threshold"), 0.65),  # above the dynamic prior's 0.6: removed on the tick they spawn
 ], ids=lambda v: _dotted(v) if isinstance(v, tuple) else repr(v))
