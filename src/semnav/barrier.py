@@ -82,25 +82,38 @@ class CbfField:
 def project_2p5d(global_tsdf: GlobalTsdf, theta_z: float) -> tuple[Grid2D, np.ndarray]:
     """Column-wise minimum magnitude of the 3D map over 0 < z <= theta_z.
 
-    Returns the 2D grid and the per-cell owner id of the minimizing voxel.
-    Equal magnitudes go to the lowest layer in the window, and the owner is
-    read from that layer (``argmin``'s tie rule, kept by the strict ``<``).
+    Returns the 2D grid over the map's x-y extent and the per-cell owner id of
+    the minimizing voxel. A window layer with nothing stored reads
+    ``background`` with owner -1. Equal magnitudes go to the lowest layer in
+    the window, an unobserved one included, and the owner is read from that
+    layer (the dense ``argmin``'s tie rule).
     """
-    res = global_tsdf.resolution
-    z_centers = global_tsdf.origin[2] + (np.arange(global_tsdf.dims[2]) + 0.5) * res
+    res, (nx, ny, nz) = global_tsdf.resolution, global_tsdf.dims
+    z_centers = global_tsdf.origin[2] + (np.arange(nz) + 0.5) * res
     layers = np.flatnonzero((z_centers > 0.0) & (z_centers <= theta_z))
     if layers.size == 0:
         raise ValueError("no voxel layer falls inside the height window")
-    values = np.abs(global_tsdf.values[:, :, layers[0]])
-    owner = global_tsdf.owner[:, :, layers[0]].copy()
-    mag = np.empty_like(values)
-    for k in layers[1:]:
-        np.abs(global_tsdf.values[:, :, k], out=mag)
-        better = mag < values
-        np.copyto(values, mag, where=better)
-        np.copyto(owner, global_tsdf.owner[:, :, k], where=better)
-    grid = Grid2D(origin=global_tsdf.origin[:2].copy(), resolution=res, values=values)
-    return grid, owner
+    column, layer = np.divmod(global_tsdf.keys, nz)
+    win = (layer >= layers[0]) & (layer <= layers[-1])
+    column, layer, mag = column[win], layer[win], np.abs(global_tsdf.values[win])
+    # columns ascend and, within one, layers ascend: each column's first entry of least |v| is its lowest
+    new_column = np.diff(column, prepend=-1) != 0
+    starts = np.flatnonzero(new_column)
+    run = np.cumsum(new_column) - 1
+    least = np.minimum.reduceat(mag, starts)
+    hit = np.flatnonzero(mag == least[run])
+    best = hit[np.diff(run[hit], prepend=-1) != 0]
+    # it beats the lowest unobserved layer when smaller, or when equal and every window layer below
+    # it is stored (its rank in the column is its offset in the window); with all stored, always
+    bg = abs(global_tsdf.background)
+    full = np.diff(starts, append=column.size) == layers.size
+    best = best[(least < bg) | ((least == bg) & (best - starts == layer[best] - layers[0])) | full]
+    values = np.full(nx * ny, bg)
+    owner = np.full(nx * ny, -1, dtype=global_tsdf.owner.dtype)
+    values[column[best]] = mag[best]
+    owner[column[best]] = global_tsdf.owner[win][best]
+    grid = Grid2D(origin=global_tsdf.origin[:2].copy(), resolution=res, values=values.reshape(nx, ny))
+    return grid, owner.reshape(nx, ny)
 
 
 def extract_labeled_boundary(

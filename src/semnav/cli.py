@@ -33,10 +33,10 @@ def cmd_run(args) -> int:
     scenario = _load(args, args.gamma_bar)
     record = run_closed_loop(scenario)
     metrics = emit_outputs(record, args.out)
-    if args.export_tsdf and record.final_global is not None:
-        from .mapping import export_global_tsdf
+    if args.export_tsdf:
+        from .mapping import export_global_tsdf, fuse_global_tsdf
 
-        export_global_tsdf(record.final_global, str(Path(args.out) / "global_tsdf"))
+        export_global_tsdf(fuse_global_tsdf(record.final_library), str(Path(args.out) / "global_tsdf"))
     print(f"{scenario.name}: goal_reached={metrics.goal_reached} min_h={metrics.min_h:.3f} -> {args.out}")
     return 0
 

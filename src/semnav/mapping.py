@@ -2,8 +2,9 @@
 
 Each mapped object keeps its own world-aligned truncated signed distance grid,
 storing only the voxels integration gives weight; the joint scene map is the
-per-voxel minimum over objects on one dense block. All grids share one lattice,
-so fusion scatters each object's voxels into the block by an integer shift.
+per-voxel minimum over objects on one block, storing only the voxels some object
+lowered below the background. All grids share one lattice, so fusion moves each
+object's voxels into the block by an integer shift.
 """
 
 from __future__ import annotations
@@ -69,16 +70,21 @@ class ObjectRecord:
 
 @dataclass
 class GlobalTsdf:
-    """Min-fused TSDF block of the workspace grid with per-voxel owning object id (-1 none)."""
+    """Min-fused TSDF over a block of the workspace grid, with each voxel's owning object id.
+
+    The block is ``dims`` voxels from ``origin``, as a ``VoxelGrid3D`` extent. Only voxels some
+    object lowered below ``background`` are stored: ``keys`` are their C-order flat indices within
+    ``dims``, strictly increasing, with ``values`` and ``owner`` aligned. Every other voxel reads
+    ``background`` with owner -1.
+    """
 
     origin: np.ndarray  # (3,) the block's low corner on the lattice
     resolution: float
-    values: np.ndarray  # (nx, ny, nz)
-    owner: np.ndarray  # (nx, ny, nz) int
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.values.shape
+    dims: tuple[int, int, int]
+    background: float  # the truncation value
+    keys: np.ndarray  # (n,)
+    values: np.ndarray  # (n,)
+    owner: np.ndarray  # (n,) int32
 
 
 @dataclass
@@ -318,11 +324,11 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
 
     In x and y the block is the union of the object grids clipped to the
     workspace grid (zero extent when none reaches it), in z every workspace
-    layer; voxels outside it are unobserved. The block starts at the
-    truncation value, the background of every object grid, so a voxel an
-    object never observed could not lower it and only stored voxels are
-    scattered in. The owner is the object attaining a value strictly below the
-    current one; ids ascend, so the lowest id wins ties.
+    layer; voxels outside it are unobserved. The background is the truncation
+    value, that of every object grid, so only stored object voxels below it
+    can lower a voxel. They are merged by one stable sort on the key over the
+    objects in ascending id: each voxel keeps its lowest value, and among
+    equal values the lowest id owns it, as a strict ``<`` over ascending ids.
     """
     tau = library.params.truncation
     res = library.params.resolution
@@ -336,33 +342,44 @@ def fuse_global_tsdf(library: ObjectLibrary) -> GlobalTsdf:
             parts.append((rec, o_lo, lo, hi))
     b_lo = np.append(np.min([p[2] for p in parts] or [g_lo], axis=0)[:2], g_lo[2])
     b_hi = np.append(np.max([p[3] for p in parts] or [g_lo], axis=0)[:2], g_hi[2])
-    values = np.full(b_hi - b_lo, tau, dtype=np.float64)
-    owner = np.full(b_hi - b_lo, -1, dtype=np.int32)
-    flat_values, flat_owner = values.reshape(-1), owner.reshape(-1)
-    shape = np.array(values.shape)
+    shape = b_hi - b_lo
+    keys, values, owner = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0, dtype=np.int32)]
     for rec, o_lo, _, _ in parts:
         # each stored voxel's index in the block; one off the block is off the workspace grid
         at = rec.tsdf.indices() + (o_lo - b_lo)[:, None]
-        keep = np.all((at >= 0) & (at < shape[:, None]), axis=0)
+        keep = np.all((at >= 0) & (at < shape[:, None]), axis=0) & (rec.tsdf.values < tau)
         i, j, k = at.compress(keep, axis=1)
-        flat = (i * shape[1] + j) * shape[2] + k
-        cand = rec.tsdf.values[keep]
-        better = cand < flat_values[flat]
-        flat_values[flat[better]] = cand[better]
-        flat_owner[flat[better]] = rec.id
-
-    return GlobalTsdf(origin=b_lo * res, resolution=res, values=values, owner=owner)
+        keys.append((i * shape[1] + j) * shape[2] + k)  # a shift keeps C order, so each object's keys stay sorted
+        values.append(rec.tsdf.values[keep])
+        owner.append(np.full(keys[-1].size, rec.id, dtype=np.int32))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")  # equal keys stay in ascending id
+    keys, values, owner = keys[order], np.concatenate(values)[order], np.concatenate(owner)[order]
+    # each pass drops, of two neighbours sharing a key, the later one unless it is strictly lower; a
+    # key's first least value is never dropped, so one entry a key is left, the lowest id's on a tie
+    while True:
+        pair = np.flatnonzero(keys[1:] == keys[:-1])
+        if pair.size == 0:
+            break
+        keep = np.ones(keys.size, dtype=bool)
+        keep[np.where(values[pair] <= values[pair + 1], pair + 1, pair)] = False
+        keys, values, owner = keys[keep], values[keep], owner[keep]
+    return GlobalTsdf(origin=b_lo * res, resolution=res, dims=tuple(shape.tolist()), background=tau,
+                      keys=keys, values=values, owner=owner)
 
 
 def export_global_tsdf(global_tsdf: GlobalTsdf, path_stem: str) -> tuple[str, str]:
-    """Write the fused grid as raw float32 plus a plain-text header.
+    """Write the fused map over its whole block as raw float32 plus a plain-text header.
 
-    Produces ``<stem>.f32`` (C-order values) and ``<stem>.meta.txt`` with
-    origin, resolution and dims, one ``key: value`` per line.
+    Produces ``<stem>.f32`` (C-order values, ``background`` where nothing is
+    stored) and ``<stem>.meta.txt`` with origin, resolution and dims, one
+    ``key: value`` per line.
     """
     data_path = f"{path_stem}.f32"
     meta_path = f"{path_stem}.meta.txt"
-    global_tsdf.values.astype(np.float32).tofile(data_path)
+    data = np.full(global_tsdf.dims, global_tsdf.background, dtype=np.float32)
+    np.put(data, global_tsdf.keys, global_tsdf.values)
+    data.tofile(data_path)
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(f"origin: {global_tsdf.origin[0]} {global_tsdf.origin[1]} {global_tsdf.origin[2]}\n")
         fh.write(f"resolution: {global_tsdf.resolution}\n")

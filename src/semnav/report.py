@@ -67,13 +67,15 @@ def write_metrics(metrics: Metrics, path: str | Path) -> None:
 
 
 def write_field_csv(field: CbfField, path: str | Path) -> None:
+    """One line per cell, written a grid row at a time."""
     xs, ys = field.grid.cell_centers()
     y_reprs = [repr(y) for y in ys.tolist()]
-    lines = ["ix,iy,x,y,h"]
-    for ix, (x, row) in enumerate(zip(xs.tolist(), field.grid.values.tolist())):
-        x_repr = repr(x)
-        lines.extend(f"{ix},{iy},{x_repr},{y_repr},{h!r}" for iy, (y_repr, h) in enumerate(zip(y_reprs, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("ix,iy,x,y,h\n")
+        for ix, (x, row) in enumerate(zip(xs.tolist(), field.grid.values)):
+            x_repr = repr(x)
+            cells = enumerate(zip(y_reprs, row.tolist()))
+            fh.write("".join(f"{ix},{iy},{x_repr},{y_repr},{h!r}\n" for iy, (y_repr, h) in cells))
 
 
 # Corner a = 0..3 of the lattice square at (i, j) is (i + _DI[a], j + _DJ[a]);

@@ -25,7 +25,6 @@ from .barrier import (
 from .consistency import compute_delta, update_consistency
 from .geometry import point_box_distance, rot2d
 from .mapping import (
-    GlobalTsdf,
     ObjectLibrary,
     associate_observations,
     fuse_global_tsdf,
@@ -74,7 +73,7 @@ class RunRecord:
     final_pose: RobotState | None = None
     field_snapshots: dict[int, CbfField] = field(default_factory=dict)
     final_field: CbfField | None = None
-    final_global: GlobalTsdf | None = None  # last fused map, for the debug export
+    final_library: ObjectLibrary | None = None  # the object maps as the run left them, for the debug export
     final_world: list[WorldObject] = field(default_factory=list)  # the scene as the last tick left it
     removed_objects: list[tuple[float, int]] = field(default_factory=list)
     spawned_objects: list[tuple[float, int]] = field(default_factory=list)
@@ -108,12 +107,11 @@ def _remap_cloud(cloud: SemanticPointCloud, true_pose: RobotState, est_pose: Rob
 
 
 def _block_boundary(library: ObjectLibrary, cbf: sc.CbfParams):
-    """Fused block, and its projection's labelled boundary with cells on the workspace lattice."""
-    global_map = fuse_global_tsdf(library)
-    block, owner = project_2p5d(global_map, cbf.theta_z)
+    """The fused block's projection's labelled boundary, with cells on the workspace lattice."""
+    block, owner = project_2p5d(fuse_global_tsdf(library), cbf.theta_z)
     boundary = extract_labeled_boundary(block, owner, cbf.theta_zero, library)
     boundary.cells += np.round((block.origin - library.grid_spec.origin) / block.resolution).astype(int)
-    return global_map, boundary
+    return boundary
 
 
 def _in_collision(pose: RobotState, world) -> bool:
@@ -192,13 +190,12 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
                 remove_object(library, rec.id)
                 record.removed_objects.append((t_now, rec.id))
 
-        global_map, boundary = _block_boundary(library, scenario.cbf)
+        boundary = _block_boundary(library, scenario.cbf)
         edf = build_edf(boundary, scenario.cbf, library.grid_spec, cache=edf_cache)
         cbf_field = build_cbf_field(edf, scenario.cbf)
         if tick in scenario.snapshot_ticks:
             record.field_snapshots[tick] = cbf_field
         record.final_field = cbf_field
-        record.final_global = global_map
 
         solve_start = time.perf_counter()
         u, prev_traj = mpc_step(
@@ -226,6 +223,7 @@ def run_closed_loop(scenario: sc.Scenario) -> RunRecord:
 
     record.final_pose = state
     record.final_world = world
+    record.final_library = library
     return record
 
 

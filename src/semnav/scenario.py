@@ -28,9 +28,9 @@ MODE_CLASSIC = "classic_mpc"
 MODES = (MODE_SEMANTIC, MODE_NONSEMANTIC, MODE_CLASSIC)
 
 
-# A run's dense grids are float64: 2**22 voxels is 32 MiB an array, and a run holds a few such arrays (the fused
-# block and its owners, one distance grid per boundary piece), well under a gigabyte. An object grid stores only
-# its observed voxels, but its extent grows with truncation / resolution, as does the band each ray stamps.
+# A run's dense grids are float64: 2**22 voxels is 32 MiB an array, and a run holds a few (one distance grid per
+# boundary piece; the export writes the fused block whole once), well under a gigabyte. Maps store only observed
+# voxels, but an object grid's extent grows with truncation / resolution, as does the band each ray stamps.
 # The largest shipped grid, drawer_gap's 128 x 128 x 20 workspace grid, is nearly 13 times smaller.
 MAX_GRID_VOXELS = 2**22
 

@@ -11,7 +11,9 @@ held ``"consistency_override": null`` until that key was removed).
 Per run it prints the sha256 of ``trajectory.csv``, each ``field_*.csv``,
 ``run.svg`` and ``metrics.txt`` without its two wall-clock lines, then one line
 per tick with the plan's status, max slack, objective, ``h_values`` and
-iterations. It measures no time.
+iterations. Then it runs ``semnav run --export-tsdf`` through ``semnav.cli.main``
+on drawer_gap and drawer_shift, seeds 1 and 2, and prints the sha256 of
+``global_tsdf.f32`` and ``global_tsdf.meta.txt``. It measures no time.
 
 The directory ``semnav`` was imported from goes to stderr; when it is not under
 the first PYTHONPATH entry (a mistyped path falls back to an installed
@@ -20,7 +22,9 @@ the first PYTHONPATH entry (a mistyped path falls back to an installed
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -28,6 +32,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import semnav
+from semnav.cli import main as cli_main
 from semnav.report import emit_outputs
 from semnav.runner import run_closed_loop
 from semnav.scenario import MODES, load_scenario
@@ -51,6 +56,20 @@ def matrix():
         runs += [("open_goal", open_goal), ("drawer_gap", gap)]
         for label, sc in runs:
             yield f"{label} seed {seed} snapshots", replace(sc, seed=seed, snapshot_ticks=(0, 5))
+
+
+def export_digests():
+    """(label, file name, sha256) of both files ``semnav run --export-tsdf`` writes, on the two drawer scenes."""
+    for name in ("drawer_gap", "drawer_shift"):
+        for seed in (1, 2):
+            with tempfile.TemporaryDirectory() as tmp:
+                argv = ["run", str(SCENARIO_DIR / f"{name}.json"), "--out", tmp, "--seed", str(seed), "--export-tsdf"]
+                with contextlib.redirect_stdout(io.StringIO()):  # its summary line names the temporary directory
+                    if cli_main(argv) != 0:
+                        raise SystemExit(f"semnav {' '.join(argv)} failed")
+                for file in ("global_tsdf.f32", "global_tsdf.meta.txt"):
+                    digest = hashlib.sha256((Path(tmp) / file).read_bytes()).hexdigest()
+                    yield f"{name} seed {seed} export", file, digest
 
 
 def artifact_digests(out: Path) -> list[tuple[str, str]]:
@@ -85,6 +104,8 @@ def main() -> None:
             plan = row.plan
             print(f"{label} | tick {i} {plan.status} {plan.max_slack!r} {float(plan.objective)!r} "
                   f"{[float(h) for h in plan.h_values]} {plan.iterations}")
+    for label, name, digest in export_digests():
+        print(f"{label} | {name} {digest}")
 
 
 if __name__ == "__main__":

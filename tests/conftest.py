@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from semnav.consistency import ConsistencyParams
 from semnav.grids import VoxelGrid3D, snap_to_lattice
-from semnav.mapping import MapParams, ObjectLibrary
+from semnav.mapping import GlobalTsdf, MapParams, ObjectLibrary
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -92,10 +92,30 @@ class DenseVoxels:
         return grown
 
 
-def dense(grid: VoxelGrid3D) -> DenseVoxels:
-    """The sparse grid over its whole extent: ``background`` and weight 0 wherever nothing is stored."""
-    values, weights = np.full(grid.dims, grid.background), np.zeros(grid.dims)
+@dataclass
+class DenseGlobalTsdf:
+    """A fused map held whole: ``values`` and ``owner`` over every voxel of its block, for the oracles."""
+
+    origin: np.ndarray  # (3,)
+    resolution: float
+    values: np.ndarray  # (nx, ny, nz)
+    owner: np.ndarray  # (nx, ny, nz) int32
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.values.shape
+
+
+def dense(grid):
+    """The sparse grid over its whole extent: ``background`` and weight 0 (a ``VoxelGrid3D``) or owner -1
+    (a ``GlobalTsdf``) wherever nothing is stored."""
+    values = np.full(grid.dims, grid.background)
     np.put(values, grid.keys, grid.values)
+    if isinstance(grid, GlobalTsdf):
+        owner = np.full(grid.dims, -1, dtype=np.int32)
+        np.put(owner, grid.keys, grid.owner)
+        return DenseGlobalTsdf(grid.origin.copy(), grid.resolution, values, owner)
+    weights = np.zeros(grid.dims)
     np.put(weights, grid.keys, grid.weights)
     return DenseVoxels(grid.origin.copy(), grid.resolution, values, weights, grid.background)
 

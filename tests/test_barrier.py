@@ -21,7 +21,8 @@ from semnav.consistency import ConsistencyParams, GaussianBetaState
 from semnav.grids import Grid2D, VoxelGrid3D, sample_multilinear
 from semnav.mapping import GlobalTsdf, MapParams, ObjectLibrary, ObjectRecord, remove_object, spawn_object
 
-from conftest import make_observation, plain_edf
+from conftest import dense, make_observation, plain_edf
+from test_mapping import project_2p5d_oracle
 
 PARAMS = CbfParams()
 RES = 0.05
@@ -99,11 +100,19 @@ def empty_grid(nx=64, ny=64):
     return Grid2D.full((0.0, 0.0), RES, (nx, ny), 0.0)
 
 
+def fused_map(values, owner, origin=(0.0, 0.0, 0.0), background=0.3):
+    """The ``GlobalTsdf`` storing the voxels of dense ``values`` below ``background``, with their owners."""
+    keys = np.flatnonzero(np.asarray(values) < background)
+    return GlobalTsdf(origin=np.array(origin, dtype=float), resolution=RES, dims=np.shape(values),
+                      background=background, keys=keys, values=np.ravel(values)[keys],
+                      owner=np.ravel(owner)[keys].astype(np.int32))
+
+
 class TestProjection:
     def test_unobserved_columns_get_truncation(self):
         tau = 0.3
-        g = GlobalTsdf(origin=np.zeros(3), resolution=RES, values=np.full((8, 8, 8), tau),
-                       owner=np.full((8, 8, 8), -1, dtype=np.int32))
+        g = fused_map(np.full((8, 8, 8), tau), np.full((8, 8, 8), -1))
+        assert g.keys.size == 0
         m25, owner = project_2p5d(g, theta_z=0.4)
         assert np.all(m25.values == tau)
         assert np.all(owner == -1)
@@ -114,7 +123,7 @@ class TestProjection:
         vals[3, 3, 2] = 0.01
         owner = np.full((8, 8, 8), -1, dtype=np.int32)
         owner[3, 3, 2] = 7
-        g = GlobalTsdf(origin=np.zeros(3), resolution=RES, values=vals, owner=owner)
+        g = fused_map(vals, owner)
         m25, own = project_2p5d(g, theta_z=0.4)
         assert m25.values[3, 3] == pytest.approx(0.01)
         assert own[3, 3] == 7
@@ -124,12 +133,14 @@ class TestProjection:
            theta_z=st.floats(0.01, 0.6))
     def test_matches_elementwise_oracle(self, seed, nz, below, theta_z):
         # values from a small set, so equal |v| and +-v pairs with different
-        # owners share a column; an origin below z = 0 drops bottom layers
+        # owners share a column, and -0.3 ties an unobserved layer; as in a fused
+        # map, nothing is stored at the background 0.3 and each stored voxel has
+        # an owner; an origin below z = 0 drops bottom layers
         rng = np.random.default_rng(seed)
-        vals = rng.choice([-0.1, 0.0, 0.1, 0.3], size=(5, 4, nz))
-        owner = rng.integers(-1, 4, size=(5, 4, nz)).astype(np.int32)
+        vals = rng.choice([-0.3, -0.1, 0.0, 0.1, 0.3], size=(5, 4, nz))
+        owner = np.where(vals < 0.3, rng.integers(0, 4, size=(5, 4, nz)), -1).astype(np.int32)
         z0 = -below * RES
-        g = GlobalTsdf(origin=np.array([0.0, 0.0, z0]), resolution=RES, values=vals, owner=owner)
+        g = fused_map(vals, owner, origin=(0.0, 0.0, z0))
         zsel = [k for k in range(nz) if 0.0 < z0 + (k + 0.5) * RES <= theta_z]
         if not zsel:
             with pytest.raises(ValueError, match="height window"):
@@ -142,11 +153,13 @@ class TestProjection:
                 k = min(zsel, key=lambda k: abs(vals[i, j, k]))  # first (lowest) minimum wins
                 assert m25.values[i, j] == abs(vals[i, j, k])
                 assert own[i, j] == owner[i, j, k]
+        ref, ref_owner = project_2p5d_oracle(dense(g), theta_z)
+        assert m25.values.tobytes() == ref.values.tobytes() and own.tobytes() == ref_owner.tobytes()
 
     def test_height_window_excludes_upper_layers(self):
         vals = np.full((4, 4, 8), 0.3)
         vals[0, 0, 7] = 0.0  # above the window
-        g = GlobalTsdf(origin=np.zeros(3), resolution=RES, values=vals, owner=np.zeros((4, 4, 8), np.int32))
+        g = fused_map(vals, np.zeros((4, 4, 8), np.int32))
         m25, _ = project_2p5d(g, theta_z=0.2)
         assert m25.values[0, 0] == 0.3
 

@@ -10,10 +10,9 @@ from scipy.optimize import linear_sum_assignment
 import semnav.runner as runner_mod
 from semnav.barrier import CbfParams, extract_labeled_boundary, project_2p5d
 from semnav.consistency import ConsistencyParams, GaussianBetaState, initial_state
-from semnav.grids import VoxelGrid3D, sample_multilinear
+from semnav.grids import Grid2D, VoxelGrid3D, sample_multilinear
 from semnav.mapping import (
     FORBIDDEN_COST,
-    GlobalTsdf,
     MapParams,
     ObjectLibrary,
     ObjectRecord,
@@ -28,7 +27,7 @@ from semnav.mapping import (
 )
 from semnav.world import DepthCamera, RobotState, SemanticPointCloud, WorldObject, render_depth
 
-from conftest import dense, make_observation
+from conftest import DenseGlobalTsdf, dense, make_observation
 
 
 def dense_integrate(record, obs, sensor_origin, params):
@@ -87,7 +86,7 @@ def dense_integrate(record, obs, sensor_origin, params):
 
 
 def fuse_global_tsdf_oracle(library):
-    """Per-voxel minimum over object TSDFs across the whole workspace grid.
+    """Per-voxel minimum over object TSDFs across the whole workspace grid, held dense.
 
     Every workspace voxel starts at the truncation value with owner -1; each
     object, in ascending id order, writes the values strictly below the
@@ -115,7 +114,30 @@ def fuse_global_tsdf_oracle(library):
         np.copyto(region, cand, where=better)
         np.copyto(owner[gsl], rec.id, where=better)
 
-    return GlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
+    return DenseGlobalTsdf(origin=library.grid_origin.copy(), resolution=res, values=values, owner=owner)
+
+
+def project_2p5d_oracle(global_tsdf, theta_z):
+    """Column-wise minimum magnitude of a dense fused map over 0 < z <= theta_z, one layer at a time.
+
+    A running minimum over the window's layers, bottom up, replaced only by a
+    strictly smaller magnitude: equal magnitudes go to the lowest layer, as
+    ``argmin``'s, and the owner is read from that layer.
+    """
+    res = global_tsdf.resolution
+    z_centers = global_tsdf.origin[2] + (np.arange(global_tsdf.dims[2]) + 0.5) * res
+    layers = np.flatnonzero((z_centers > 0.0) & (z_centers <= theta_z))
+    if layers.size == 0:
+        raise ValueError("no voxel layer falls inside the height window")
+    values = np.abs(global_tsdf.values[:, :, layers[0]])
+    owner = global_tsdf.owner[:, :, layers[0]].copy()
+    mag = np.empty_like(values)
+    for k in layers[1:]:
+        np.abs(global_tsdf.values[:, :, k], out=mag)
+        better = mag < values
+        np.copyto(values, mag, where=better)
+        np.copyto(owner, global_tsdf.owner[:, :, k], where=better)
+    return Grid2D(origin=global_tsdf.origin[:2].copy(), resolution=res, values=values), owner
 
 
 def assert_boundaries_equal(got, want):
@@ -128,14 +150,16 @@ def assert_boundaries_equal(got, want):
 
 def oracle_boundary(library, cbf):
     """The labelled boundary of the full-grid oracle's projection, and that projection."""
-    ref, ref_owner = project_2p5d(fuse_global_tsdf_oracle(library), cbf.theta_z)
+    ref, ref_owner = project_2p5d_oracle(fuse_global_tsdf_oracle(library), cbf.theta_z)
     return extract_labeled_boundary(ref, ref_owner, cbf.theta_zero, library), ref, ref_owner
 
 
 def assert_block_matches_oracle(library, theta_z):
-    """The block is the oracle on its extent, the oracle is unobserved off it, and the runner's boundary is the oracle's."""
+    """The block is the oracle on its extent and stores exactly the voxels below the truncation value, the
+    oracle is unobserved off it, the block's projection is the oracle's, and the runner's boundary is the oracle's."""
     block = fuse_global_tsdf(library)
     oracle = fuse_global_tsdf_oracle(library)
+    tau = library.params.truncation
     res = library.params.resolution
     g_lo = np.round(library.grid_origin / res).astype(int)
     b_lo = np.round(block.origin / res).astype(int)
@@ -145,17 +169,23 @@ def assert_block_matches_oracle(library, theta_z):
     assert b_lo[2] == g_lo[2] and block.dims[2] == library.grid_dims[2]
     sl = tuple(slice(b_lo[a] - g_lo[a], b_lo[a] - g_lo[a] + block.dims[a]) for a in range(3))
     assert block.values.dtype == oracle.values.dtype and block.owner.dtype == oracle.owner.dtype
-    assert block.values.tobytes() == oracle.values[sl].tobytes()
-    assert block.owner.tobytes() == oracle.owner[sl].tobytes()
+    assert block.background == tau
+    assert np.array_equal(block.keys, np.flatnonzero(oracle.values[sl] < tau))
+    assert dense(block).values.tobytes() == oracle.values[sl].tobytes()
+    assert dense(block).owner.tobytes() == oracle.owner[sl].tobytes()
     outside = np.ones(library.grid_dims, dtype=bool)
     outside[sl] = False
-    assert np.all(oracle.values[outside] == library.params.truncation)
+    assert np.all(oracle.values[outside] == tau)
     assert np.all(oracle.owner[outside] == -1)
+    m25, owner = project_2p5d(block, theta_z)
+    want_m25, want_owner = project_2p5d_oracle(dense(block), theta_z)
+    assert m25.origin.tobytes() == want_m25.origin.tobytes() and m25.resolution == want_m25.resolution
+    assert m25.values.dtype == want_m25.values.dtype and m25.values.tobytes() == want_m25.values.tobytes()
+    assert owner.dtype == want_owner.dtype and owner.tobytes() == want_owner.tobytes()
 
     cbf = CbfParams(theta_z=theta_z)
-    global_map, boundary = runner_mod._block_boundary(library, cbf)
+    boundary = runner_mod._block_boundary(library, cbf)
     want, ref, ref_owner = oracle_boundary(library, cbf)
-    assert global_map.values.tobytes() == block.values.tobytes()
     spec = library.grid_spec
     assert spec.origin.tobytes() == ref.origin.tobytes() and spec.resolution == ref.resolution and spec.dims == ref.dims
     assert_boundaries_equal(boundary, want)
@@ -430,13 +460,14 @@ class TestFusion:
     def test_empty_library(self, small_library):
         g = fuse_global_tsdf(small_library)
         tau = small_library.params.truncation
-        assert np.all(g.values == tau)
-        assert np.all(g.owner == -1)
+        assert g.keys.size == 0 and g.background == tau
+        assert np.all(dense(g).values == tau)
+        assert np.all(dense(g).owner == -1)
 
     def test_single_object_extends_with_background(self, small_library):
         obs = make_observation([[1.0, 0.0, 0.2], [1.0, 0.1, 0.2]])
         rec = spawn_object(obs, small_library, (0.0, 0.0, 0.3))
-        g = fuse_global_tsdf(small_library)
+        g = dense(fuse_global_tsdf(small_library))
         tau = small_library.params.truncation
         observed = g.owner == rec.id
         assert observed.any()
@@ -465,7 +496,7 @@ class TestFusion:
                 integrate_observation(rec, make_observation(moved), sensor, library.params)
                 assert rec.tsdf.dims != dims
             recs.append(rec)
-        g = fuse_global_tsdf(library)
+        g = dense(fuse_global_tsdf(library))
         tau = library.params.truncation
         res = library.params.resolution
 
@@ -490,7 +521,7 @@ class TestFusion:
         pts = [[1.0, 0.0, 0.2], [1.0, 0.05, 0.2]]
         a = spawn_object(make_observation(pts), small_library, (0.0, 0.0, 0.3))
         b = spawn_object(make_observation(pts), small_library, (0.0, 0.0, 0.3))
-        g = fuse_global_tsdf(small_library)
+        g = dense(fuse_global_tsdf(small_library))
         # identical contributions: the lower id owns every contested voxel
         contested = g.owner >= 0
         assert contested.any()
@@ -553,7 +584,7 @@ class TestBlockFusion:
         for oid in removed & set(library.records):
             remove_object(library, oid)
         cbf = CbfParams(theta_z=0.5)
-        _, boundary = runner_mod._block_boundary(library, cbf)
+        boundary = runner_mod._block_boundary(library, cbf)
         want, _, _ = oracle_boundary(library, cbf)
         assert_boundaries_equal(boundary, want)
 
@@ -594,6 +625,42 @@ class TestBlockFusion:
         assert ref.dims == library.grid_dims[:2]
         assert np.all(ref.values == library.params.truncation) and np.all(ref_owner == -1)
         assert len(boundary) == 0 and boundary.cells.shape == (0, 2) and boundary.labels == {}
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_objects=st.integers(0, 5), twins=st.booleans(),
+           theta_z=st.floats(0.03, 0.6))
+    def test_sparse_fuse_and_project_match_dense_oracles(self, seed, n_objects, twins, theta_z):
+        # object grids written directly: values from a small set, so overlapping objects tie on value,
+        # -tau ties an unobserved layer's |v| and tau is stored yet lowers nothing; a twin copies the
+        # previous object's store, so two objects hold equal values on every shared voxel; grids
+        # poke out of the workspace grid on every side, in z too, so some voxels lie off the block
+        rng = np.random.default_rng(seed)
+        library = ObjectLibrary(params=MapParams(), consistency_params=ConsistencyParams(),
+                                workspace=(0.0, 0.0, 0.4, 0.3), height=0.4)
+        tau, res = library.params.truncation, library.params.resolution
+        for k in range(n_objects):
+            if not (twins and k % 2):
+                dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+                origin = rng.integers([-4, -4, -3], [9, 7, 9]) * res
+                n = int(np.prod(dims))
+                keys = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+                values = rng.choice([-tau, -0.1, -0.0, 0.0, 0.1, 0.2, tau], size=keys.size)
+            grid = VoxelGrid3D(origin=origin, resolution=res, dims=dims, background=tau, keys=keys,
+                               values=values, weights=np.ones(keys.size))
+            oid = 2 * k + int(rng.integers(0, 2))
+            library.records[oid] = ObjectRecord(id=oid, class_id=1, stationarity=1, position=origin.copy(),
+                                                consistency=initial_state(1, ConsistencyParams()), tsdf=grid)
+        block = fuse_global_tsdf(library)
+        m25, owner = project_2p5d(block, theta_z)
+        ref, ref_owner = project_2p5d_oracle(fuse_global_tsdf_oracle(library), theta_z)
+        lo = np.round((block.origin[:2] - library.grid_origin[:2]) / res).astype(int)
+        sl = tuple(slice(lo[a], lo[a] + block.dims[a]) for a in range(2))
+        assert m25.values.dtype == ref.values.dtype and m25.values.tobytes() == ref.values[sl].tobytes()
+        assert owner.dtype == ref_owner.dtype and owner.tobytes() == ref_owner[sl].tobytes()
+        outside = np.ones(library.grid_dims[:2], dtype=bool)
+        outside[sl] = False
+        assert np.all(ref.values[outside] == tau) and np.all(ref_owner[outside] == -1)
+        assert_block_matches_oracle(library, theta_z)
 
 
 class TestSpawnRemove:
@@ -663,10 +730,10 @@ class TestSpawnRemove:
 
     def test_remove_then_fuse_reverts(self, small_library):
         rec = spawn_object(make_observation([[1.0, 0, 0.2]]), small_library, (0, 0, 0.3))
-        assert np.any(fuse_global_tsdf(small_library).owner == rec.id)
+        assert np.any(dense(fuse_global_tsdf(small_library)).owner == rec.id)
         remove_object(small_library, rec.id)
         g = fuse_global_tsdf(small_library)
-        assert np.all(g.values == small_library.params.truncation)
+        assert g.keys.size == 0 and np.all(dense(g).values == small_library.params.truncation)
         with pytest.raises(KeyError):
             remove_object(small_library, rec.id)
 
@@ -729,7 +796,7 @@ def test_export_global_tsdf_roundtrip(tmp_path, small_library):
         origin = np.array([float(t) for t in meta["origin"].split()])
         assert origin.tobytes() == g.origin.tobytes()
         raw = np.fromfile(data_path, dtype=np.float32).reshape(dims)
-        np.testing.assert_allclose(raw, g.values.astype(np.float32))
+        assert raw.tobytes() == dense(g).values.astype(np.float32).tobytes()
         assert float(meta["resolution"]) == g.resolution
 
 

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import semnav.mpc as mpc_mod
 import semnav.runner as runner_mod
-from semnav.barrier import project_2p5d
 from semnav.consistency import ConsistencyParams
 from semnav.mapping import fuse_global_tsdf
 from semnav.mpc import hold_trajectory, mpc_step
@@ -15,7 +14,7 @@ from semnav.scenario import MODE_CLASSIC, MODE_NONSEMANTIC, MODE_SEMANTIC, Scena
 from semnav.world import ControlInput, RobotState, WorldObject
 
 from test_barrier import plain_edf_oracle
-from test_mapping import assert_boundaries_equal, fuse_global_tsdf_oracle, oracle_boundary
+from test_mapping import assert_boundaries_equal, fuse_global_tsdf_oracle, oracle_boundary, project_2p5d_oracle
 
 
 def open_scenario(**kw):
@@ -76,11 +75,12 @@ class TestClosedLoop:
         assert compute_metrics(rec).goal_reached
 
     def test_field_snapshots_recorded(self, monkeypatch):
-        libraries = []
+        libraries, fused = [], []
 
         def fuse(library):
             libraries.append(library)
-            return fuse_global_tsdf(library)
+            fused.append(fuse_global_tsdf(library))
+            return fused[-1]
 
         monkeypatch.setattr(runner_mod, "fuse_global_tsdf", fuse)
         sc = open_scenario(snapshot_ticks=(0, 3), duration=2.0,
@@ -92,9 +92,11 @@ class TestClosedLoop:
         # the last fused block is the final library's, and lies inside its workspace grid
         library = libraries[-1]
         assert library.records and all(lib is library for lib in libraries)
-        want = fuse_global_tsdf(library)
-        g = rec.final_global
+        assert rec.final_library is library
+        want = fused[-1]
+        g = fuse_global_tsdf(rec.final_library)
         assert g.origin.tobytes() == want.origin.tobytes() and g.dims == want.dims
+        assert g.keys.tobytes() == want.keys.tobytes()
         assert g.values.tobytes() == want.values.tobytes() and g.owner.tobytes() == want.owner.tobytes()
         res = library.params.resolution
         lo = np.round((g.origin - library.grid_origin) / res).astype(int)
@@ -270,7 +272,7 @@ def test_plain_field_matches_threshold_oracle_every_tick(scenario_dir, monkeypat
         before = set(cache)
         edf = real(boundary, params, grid_spec, cache=cache)
         fresh = real(boundary, params, grid_spec)
-        m25, _ = project_2p5d(fuse_global_tsdf_oracle(libraries[-1]), params.theta_z)
+        m25, _ = project_2p5d_oracle(fuse_global_tsdf_oracle(libraries[-1]), params.theta_z)
         oracle = plain_edf_oracle(m25, params.theta_zero, params)
         assert edf.origin.tobytes() == oracle.origin.tobytes()
         assert edf.values.tobytes() == fresh.values.tobytes() == oracle.values.tobytes()
@@ -306,13 +308,13 @@ def checked_boundary(monkeypatch, ticks):
     real = runner_mod._block_boundary
 
     def checked(library, cbf):
-        global_map, boundary = real(library, cbf)
+        boundary = real(library, cbf)
         want, ref, ref_owner = oracle_boundary(library, cbf)
         assert library.grid_spec.origin.tobytes() == ref.origin.tobytes() and library.grid_spec.dims == ref.dims
         assert_boundaries_equal(boundary, want)
         unobserved = bool(np.all(ref.values == library.params.truncation) and np.all(ref_owner == -1))
-        ticks.append((global_map.dims, library.grid_dims, unobserved, len(boundary)))
-        return global_map, boundary
+        ticks.append((fuse_global_tsdf(library).dims, library.grid_dims, unobserved, len(boundary)))
+        return boundary
 
     monkeypatch.setattr(runner_mod, "_block_boundary", checked)
 
